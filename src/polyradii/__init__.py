@@ -24,9 +24,7 @@ from .gaussian import (
     tail_sandwich_check,
 )
 from .grassmann import (
-    Flag,
     Subspace,
-    haar_flag,
     haar_subspace,
     project,
     sphere_marginal_moment,
@@ -51,6 +49,7 @@ from .radii import (
     mean_width,
     outer_radius_points,
     projected_radius,
+    projected_sq_norms,
     radius_profile,
     symmetrize,
 )

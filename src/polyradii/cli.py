@@ -6,6 +6,7 @@ Exit status: 0 success, 1 usage or I/O error, 2 check failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -96,12 +97,13 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _override(config, **values):
+    """The config with the given non-None values replaced, validated again."""
+    return dataclasses.replace(config, **{k: v for k, v in values.items() if v is not None})
+
+
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.R is not None:
-        config.R = args.R
+    config = _override(load_config(args.config), seed=args.seed, R=args.R)
     out = args.out if args.out is not None else config.out
     if out is None:
         raise ValueError("no output path: set 'out' in the config or pass --out")
@@ -128,8 +130,7 @@ def _cmd_gaussian(args) -> int:
 
 def _cmd_check(args) -> int:
     config = load_config(args.config) if args.config else default_check_config()
-    if args.seed is not None:
-        config.seed = args.seed
+    config = _override(config, seed=args.seed)
     results = consistency_checks(config, q=args.q)
     failed = False
     for res in results:

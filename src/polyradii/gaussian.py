@@ -19,7 +19,7 @@ from scipy.special import gammainc, gammaincc, gammaln
 
 from .estimates import Estimate, mean_and_stderr
 from .grassmann import haar_subspace
-from .radii import PointCloud
+from .radii import PointCloud, projected_sq_norms
 from .streams import StreamKey, standard_normal
 
 
@@ -139,7 +139,7 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
     vals = np.empty(replicas)
     for i in range(replicas):
         child = key.child(i)
-        pts = standard_normal(child.child(0), N * n).reshape(N, n)
-        frame = haar_subspace(n, k, child.child(1)).frame
-        vals[i] = np.max(np.linalg.norm(pts @ frame, axis=1))
+        pts = gaussian_cloud(n, N, child).points
+        frame = haar_subspace(n, k, child.child(1))
+        vals[i] = np.sqrt(np.max(projected_sq_norms(pts, frame, [k])))
     return mean_and_stderr(vals, key)

@@ -1,4 +1,4 @@
-"""Haar subspaces, nested flags, projections and sphere marginal moments."""
+"""Haar frames (subspaces and nested flags), projections and sphere marginal moments."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ _ORTHO_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A k-dimensional subspace of R^n given by an orthonormal (n, k) frame."""
+    """A k-dimensional subspace of R^n given by a checked orthonormal (n, k) frame."""
 
     frame: np.ndarray
 
@@ -35,46 +35,18 @@ class Subspace:
             raise ValueError("frame columns are not orthonormal")
 
 
-@dataclass(frozen=True, eq=False)
-class Flag:
-    """A full nested chain of subspaces from one orthonormal basis.
+def haar_subspace(n: int, k: int, key: StreamKey) -> np.ndarray:
+    """Orthonormal (n, k) frame of a Haar-distributed k-dimensional subspace of R^n.
 
-    The first k columns form a subspace that is Haar on G_{n,k} for every k,
-    and the chain makes projected norms monotone in k pathwise.
+    Sign-fixed QR, diag(R) > 0: deterministic and Haar-correct.  With k = n it
+    is a nested flag: every prefix of k columns is Haar on G_{n,k}.
     """
-
-    basis: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
-
-    def subspace(self, k: int) -> Subspace:
-        return Subspace(self.basis[:, :k])
-
-
-def _oriented_orthonormal(a: np.ndarray) -> np.ndarray:
-    # QR with the sign convention diag(R) > 0: deterministic and Haar-correct.
-    q, r = np.linalg.qr(a)
-    d = np.sign(np.diagonal(r))
-    d = np.where(d == 0.0, 1.0, d)
-    return q * d
-
-
-def haar_subspace(n: int, k: int, key: StreamKey) -> Subspace:
-    """Haar-distributed k-dimensional subspace of R^n."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     g = standard_normal(key, n * k).reshape(n, k)
-    return Subspace(_oriented_orthonormal(g))
-
-
-def haar_flag(n: int, key: StreamKey) -> Flag:
-    """Haar orthonormal basis of R^n; every prefix is Haar on G_{n,k}."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    g = standard_normal(key, n * n).reshape(n, n)
-    return Flag(_oriented_orthonormal(g))
+    q, r = np.linalg.qr(g)
+    d = np.sign(np.diagonal(r))
+    return q * np.where(d == 0.0, 1.0, d)
 
 
 def project(subspace: Subspace, x: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .bodies import Body, isotropic_constant, sample_points
 from .estimates import Estimate, mean_and_stderr, power_estimate, scale_estimate
 from .grassmann import Subspace, haar_subspace, sphere_marginal_moment, sphere_points
+from .radii import projected_sq_norms
 from .streams import StreamKey
 
 _MIN_SAMPLES = 100
@@ -26,16 +27,12 @@ def _guard_exponent(q: float, dim: int) -> None:
         raise ValueError("variance-unsafe exponent")
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a, axis=1)
-
-
 def moment(body: Body, q: float, m: int, key: StreamKey) -> Estimate:
     """I_q(K) = (mean of |X|^q)^(1/q) with delta-method stderr."""
     _guard_exponent(q, body.dim)
     if m < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples")
-    r = _row_norms(sample_points(body, m, key.child(0)))
+    r = np.linalg.norm(sample_points(body, m, key.child(0)), axis=1)
     return power_estimate(mean_and_stderr(r**q, key), 1.0 / q)
 
 
@@ -47,7 +44,7 @@ def moment_subspace(body: Body, subspace: Subspace, q: float, m: int, key: Strea
     if m < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples")
     pts = sample_points(body, m, key.child(0))
-    r = _row_norms(pts @ subspace.frame)
+    r = np.sqrt(projected_sq_norms(pts, subspace.frame, [subspace.k])[:, 0])
     return power_estimate(mean_and_stderr(r**q, key), 1.0 / q)
 
 
@@ -96,8 +93,8 @@ def grassmann_moment_avg(
     pts = sample_points(body, m, key.child(0))
     powers = np.empty((M, m))
     for i in range(M):
-        frame = haar_subspace(n, k, key.child(1).child(i)).frame
-        powers[i] = _row_norms(pts @ frame) ** q
+        frame = haar_subspace(n, k, key.child(1).child(i))
+        powers[i] = np.sqrt(projected_sq_norms(pts, frame, [k])[:, 0]) ** q
     total = float(np.mean(powers))
     per_subspace = np.mean(powers, axis=1)
     per_point = np.mean(powers, axis=0)
@@ -238,8 +235,8 @@ def centroid_width_check(
     lhs = np.empty(M)
     rhs = np.empty(M)
     for i in range(M):
-        frame = haar_subspace(n, k, key.child(1).child(i)).frame
-        nrm = _row_norms(pts @ frame)
+        frame = haar_subspace(n, k, key.child(1).child(i))
+        nrm = np.sqrt(projected_sq_norms(pts, frame, [k])[:, 0])
         lhs[i] = np.mean(nrm ** (-q)) ** (-1.0 / q)
         inner = sphere_points(k, directions, key.child(2).child(i))
         dirs = frame @ inner.T

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from .estimates import Estimate, mean_and_stderr
-from .grassmann import Subspace, haar_flag, haar_subspace, sphere_points
+from .grassmann import Subspace, haar_subspace, sphere_points
 from .streams import StreamKey
 
 if TYPE_CHECKING:
@@ -75,12 +75,21 @@ def outer_radius_points(cloud: PointCloud) -> float:
     return float(np.max(np.linalg.norm(cloud.points, axis=1)))
 
 
+def projected_sq_norms(points: np.ndarray, frame: np.ndarray, ks) -> np.ndarray:
+    """(N, len(ks)) squared norms of the points projected onto the first k frame
+    columns, for each k of the increasing ``ks``.  Squares are summed by segment
+    and the segments accumulated, so every row is nondecreasing in k exactly.
+    """
+    sq = (points @ frame[:, : ks[-1]]) ** 2
+    return np.cumsum(np.add.reduceat(sq, [0, *ks[:-1]], axis=1), axis=1)
+
+
 def projected_radius(cloud: PointCloud, subspace: Subspace) -> float:
     """max_j |P_F X_j|, the outer radius of the projected hull."""
     if cloud.dim != subspace.n:
         raise ValueError("cloud and subspace dimension mismatch")
-    proj = cloud.points @ subspace.frame
-    return float(np.max(np.linalg.norm(proj, axis=1)))
+    sq = projected_sq_norms(cloud.points, subspace.frame, [subspace.k])
+    return float(np.sqrt(np.max(sq)))
 
 
 def mean_outer_radius(cloud: PointCloud, k: int, M: int, key: StreamKey) -> Estimate:
@@ -91,7 +100,8 @@ def mean_outer_radius(cloud: PointCloud, k: int, M: int, key: StreamKey) -> Esti
         raise ValueError("need at least 2 subspaces")
     vals = np.empty(M)
     for i in range(M):
-        vals[i] = projected_radius(cloud, haar_subspace(cloud.dim, k, key.child(i)))
+        frame = haar_subspace(cloud.dim, k, key.child(i))
+        vals[i] = np.sqrt(np.max(projected_sq_norms(cloud.points, frame, [k])))
     return mean_and_stderr(vals, key)
 
 
@@ -100,11 +110,11 @@ def radius_profile(
 ) -> RadiusProfile:
     """Per-k mean outer radii from M Haar flags, monotone in k pathwise.
 
-    For each flag the squared projected norms are accumulated column segment
-    by column segment (running sums of squared basis inner products), so the
-    per-point radii never decrease with k and neither does their max or the
-    flag average.  ``ks`` restricts the grid (default: every k = 1..n); each
-    per-k marginal is distributed exactly as mean_outer_radius at that k.
+    Each flag is a full Haar basis (haar_subspace with k = n) and its squared
+    projected norms come from projected_sq_norms, so the per-point radii
+    never decrease with k and neither does their max or the flag average.
+    ``ks`` restricts the grid (default: every k = 1..n); each per-k marginal
+    is distributed exactly as mean_outer_radius at that k.
     """
     n = cloud.dim
     if ks is None:
@@ -114,17 +124,12 @@ def radius_profile(
         raise ValueError("ks must be strictly increasing within 1..n")
     if M < 2:
         raise ValueError("need at least 2 flags")
-    starts = np.concatenate([[0], ks[:-1]])
     per_flag = np.empty((M, ks.size))
     for i in range(M):
-        basis = haar_flag(n, key.child(i)).basis
-        sq = (cloud.points @ basis[:, : ks[-1]]) ** 2
-        partial = np.cumsum(np.add.reduceat(sq, starts, axis=1), axis=1)
-        per_flag[i] = np.sqrt(np.max(partial, axis=0))
+        sq = projected_sq_norms(cloud.points, haar_subspace(n, n, key.child(i)), ks)
+        per_flag[i] = np.sqrt(np.max(sq, axis=0))
     values = np.mean(per_flag, axis=0)
-    stderrs = (
-        np.std(per_flag, axis=0, ddof=1) / np.sqrt(M) if M > 1 else np.zeros(ks.size)
-    )
+    stderrs = np.std(per_flag, axis=0, ddof=1) / np.sqrt(M)
     return RadiusProfile(ks, values, stderrs, M, key)
 
 

@@ -8,9 +8,11 @@ theory bounds.  All rows are reproducible from the config seed alone.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from dataclasses import dataclass, fields
+import os
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -81,10 +83,18 @@ class SweepConfig:
             raise ValueError(
                 f"invalid body kind {self.body!r}; valid kinds: {', '.join(KINDS)}"
             )
+        # exact JSON types: bool is an int subclass, and 16.7 must not pass as 16
+        if not all(type(getattr(self, name)) is int for name in ("n", "M", "R", "m", "seed")):
+            raise ValueError("n, M, R, m and seed must be integers")
+        lists = (self.N_list, self.k_list)
+        if not all(type(v) is list and all(type(x) is int for x in v) for v in lists):
+            raise ValueError("N_list and k_list must be lists of integers")
+        if type(self.s) not in (int, float):
+            raise ValueError("s must be a number")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError("out must be a path string")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        self.N_list = [int(v) for v in self.N_list]
-        self.k_list = [int(v) for v in self.k_list]
         if not self.N_list or not self.k_list:
             raise ValueError("N_list and k_list must be nonempty")
         if any(k < 1 or k > self.n for k in self.k_list):
@@ -93,15 +103,21 @@ class SweepConfig:
             raise ValueError("N_list entries must be >= n")
         if self.M < 2 or self.R < 1 or self.m < 1:
             raise ValueError("M, R and m must be positive (M >= 2)")
-        if self.s <= 0:
-            raise ValueError("s must be positive")
+        if not 0 < self.s < math.inf:
+            raise ValueError("s must be positive and finite")
 
 
 def config_from_dict(data: dict) -> SweepConfig:
+    if not isinstance(data, dict):
+        raise ValueError("a config must be a JSON object")
     known = {f.name for f in fields(SweepConfig)}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    required = {f.name for f in fields(SweepConfig) if f.default is MISSING}
+    missing = required - set(data)
+    if missing:
+        raise ValueError(f"missing config keys: {', '.join(sorted(missing))}")
     return SweepConfig(**data)
 
 
@@ -193,8 +209,16 @@ def rows_to_csv(rows: Iterable[SweepRow]) -> str:
 
 
 def write_csv(rows: Iterable[SweepRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rows_to_csv(rows))
+    """Write the CSV to a temporary file beside path, then rename it over path,
+    so a failure part-way leaves any previous file intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(rows_to_csv(rows))
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 @dataclass(frozen=True)

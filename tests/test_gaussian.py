@@ -14,7 +14,7 @@ from polyradii.gaussian import (
     projected_max_mc,
     tail_integral,
 )
-from polyradii.grassmann import haar_subspace, project
+from polyradii.grassmann import Subspace, haar_subspace, project
 from polyradii.radii import mean_outer_radius
 from polyradii.sweep import GAUSSIAN_RATIO_BAND, GAUSSIAN_RATIO_CALIBRATION
 
@@ -124,7 +124,7 @@ def test_projected_gaussian_is_chi(key):
     # rotation invariance: |P_F X| follows the chi distribution in dim k
     cloud = gaussian_cloud(9, 4000, key.child(2))
     for k in (1, 3):
-        F = haar_subspace(9, k, key.child(3).child(k))
+        F = Subspace(haar_subspace(9, k, key.child(3).child(k)))
         nrm = np.linalg.norm(project(F, cloud.points), axis=1)
         assert kstest(nrm, lambda t: chi_cdf(k, t)).pvalue > 0.01
 

@@ -6,9 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from polyradii.grassmann import (
-    Flag,
     Subspace,
-    haar_flag,
     haar_subspace,
     project,
     sphere_marginal_moment,
@@ -20,16 +18,25 @@ from polyradii.streams import standard_normal
 
 def test_subspace_orthonormality(key):
     for i, (n, k) in enumerate([(3, 1), (5, 3), (8, 8)]):
-        F = haar_subspace(n, k, key.child(i))
-        assert np.max(np.abs(F.frame.T @ F.frame - np.eye(k))) < 1e-10
+        frame = haar_subspace(n, k, key.child(i))
+        assert np.max(np.abs(frame.T @ frame - np.eye(k))) < 1e-10
     with pytest.raises(ValueError):
         haar_subspace(3, 4, key)
     with pytest.raises(ValueError):
         haar_subspace(3, 0, key)
+    # user-built frames are validated by Subspace
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace(2.0 * np.eye(3)[:, :1])
+    with pytest.raises(ValueError, match="1 <= k <= n"):
+        Subspace(np.eye(3)[:, :0])
+    with pytest.raises(ValueError, match="1 <= k <= n"):
+        Subspace(np.eye(2, 3))
 
 
 def test_full_subspace_preserves_norms(key):
-    F = haar_subspace(6, 6, key.child(1))
+    F = Subspace(haar_subspace(6, 6, key.child(1)))
     x = standard_normal(key.child(2), 6)
     assert np.linalg.norm(project(F, x)) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
@@ -42,7 +49,7 @@ def test_projection_examples():
 
 
 def test_projection_contracts(key):
-    F = haar_subspace(7, 3, key.child(3))
+    F = Subspace(haar_subspace(7, 3, key.child(3)))
     xs = standard_normal(key.child(4), 70).reshape(10, 7)
     assert np.all(
         np.linalg.norm(project(F, xs), axis=1) <= np.linalg.norm(xs, axis=1) + 1e-12
@@ -54,14 +61,16 @@ def test_projected_squared_norm_mean(key):
     x = np.eye(2)[0]
     vals = np.empty(10**5)
     for i in range(vals.size):
-        vals[i] = np.sum(project(haar_subspace(2, 1, key.child(5).child(i)), x) ** 2)
+        F = Subspace(haar_subspace(2, 1, key.child(5).child(i)))
+        vals[i] = np.sum(project(F, x) ** 2)
     stderr = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - 0.5) <= 3 * stderr
 
     x = sphere_sample(10, key.child(6))
     vals = np.empty(3 * 10**4)
     for i in range(vals.size):
-        vals[i] = np.sum(project(haar_subspace(10, 3, key.child(7).child(i)), x) ** 2)
+        F = Subspace(haar_subspace(10, 3, key.child(7).child(i)))
+        vals[i] = np.sum(project(F, x) ** 2)
     stderr = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - 0.3) <= 3 * stderr
 
@@ -72,7 +81,8 @@ def test_projected_moment_identity(key):
     x = sphere_sample(n, key.child(8)) * 2.0
     norms = np.empty(2 * 10**4)
     for i in range(norms.size):
-        norms[i] = np.linalg.norm(project(haar_subspace(n, k, key.child(9).child(i)), x))
+        F = Subspace(haar_subspace(n, k, key.child(9).child(i)))
+        norms[i] = np.linalg.norm(project(F, x))
     for q in (1.5, 3.0):
         target = (
             np.linalg.norm(x) ** q
@@ -85,19 +95,19 @@ def test_projected_moment_identity(key):
 
 
 def test_flag_prefixes(key):
-    flag = haar_flag(7, key.child(10))
+    frame = haar_subspace(7, 7, key.child(10))
     for k in (1, 3, 7):
-        F = flag.subspace(k)
+        F = Subspace(frame[:, :k])
         assert F.k == k
         assert np.max(np.abs(F.frame.T @ F.frame - np.eye(k))) < 1e-10
 
 
 def test_flag_projections_monotone(key):
-    flag = haar_flag(6, key.child(11))
+    frame = haar_subspace(6, 6, key.child(11))
     xs = standard_normal(key.child(12), 60).reshape(10, 6)
     prev = np.zeros(10)
     for k in range(1, 7):
-        cur = np.linalg.norm(project(flag.subspace(k), xs), axis=1)
+        cur = np.linalg.norm(project(Subspace(frame[:, :k]), xs), axis=1)
         assert np.all(cur >= prev)
         prev = cur
 
@@ -109,8 +119,9 @@ def test_flag_prefix_matches_haar_subspace(key):
     a = np.empty(reps)
     b = np.empty(reps)
     for i in range(reps):
-        a[i] = np.linalg.norm(project(haar_flag(n, key.child(13).child(i)).subspace(1), e1))
-        b[i] = np.linalg.norm(project(haar_subspace(n, 1, key.child(14).child(i)), e1))
+        prefix = Subspace(haar_subspace(n, n, key.child(13).child(i))[:, :1])
+        a[i] = np.linalg.norm(project(prefix, e1))
+        b[i] = np.linalg.norm(project(Subspace(haar_subspace(n, 1, key.child(14).child(i))), e1))
     assert ks_2samp(a, b).pvalue > 0.01
 
 
@@ -118,14 +129,14 @@ def test_haar_rotation_invariance(key):
     # |P_F (U x)| and |P_F x| agree in distribution for a fixed rotation U
     n, k_dim, reps = 6, 2, 10**4
     x = sphere_sample(n, key.child(15))
-    u_mat = haar_flag(n, key.child(16)).basis
+    u_mat = haar_subspace(n, n, key.child(16))
     a = np.empty(reps)
     b = np.empty(reps)
     for i in range(reps):
-        a[i] = np.linalg.norm(project(haar_subspace(n, k_dim, key.child(17).child(i)), x))
-        b[i] = np.linalg.norm(
-            project(haar_subspace(n, k_dim, key.child(18).child(i)), u_mat @ x)
-        )
+        F = Subspace(haar_subspace(n, k_dim, key.child(17).child(i)))
+        a[i] = np.linalg.norm(project(F, x))
+        F = Subspace(haar_subspace(n, k_dim, key.child(18).child(i)))
+        b[i] = np.linalg.norm(project(F, u_mat @ x))
     assert ks_2samp(a, b).pvalue > 0.01
 
 
@@ -167,6 +178,6 @@ def test_marginal_moment_against_mc(key):
 
 
 def test_orientation_fix_is_deterministic(key):
-    a = haar_flag(5, key.child(22)).basis
-    b = haar_flag(5, key.child(22)).basis
+    a = haar_subspace(5, 5, key.child(22))
+    b = haar_subspace(5, 5, key.child(22))
     assert a.tobytes() == b.tobytes()

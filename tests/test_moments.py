@@ -69,7 +69,7 @@ def test_moment_subspace(key):
     b = moment(body, 2.0, 100000, key.child(4))
     assert abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)
     # negative-q guard uses the subspace dimension
-    F = haar_subspace(6, 2, key.child(5))
+    F = Subspace(haar_subspace(6, 2, key.child(5)))
     with pytest.raises(ValueError, match="variance-unsafe"):
         moment_subspace(body, F, -0.5, 1000, key.child(6))
 

@@ -6,13 +6,14 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from polyradii.bodies import make_body, sample
-from polyradii.grassmann import Subspace, haar_flag, haar_subspace
+from polyradii.grassmann import Subspace, haar_subspace
 from polyradii.radii import (
     PointCloud,
     mean_outer_radius,
     mean_width,
     outer_radius_points,
     projected_radius,
+    projected_sq_norms,
     radius_profile,
     symmetrize,
 )
@@ -36,7 +37,7 @@ def test_symmetrization_keeps_projected_radii(key):
     sym = symmetrize(cloud)
     assert outer_radius_points(sym) == outer_radius_points(cloud)
     for i in range(20):
-        F = haar_subspace(3, 2, key.child(1).child(i))
+        F = Subspace(haar_subspace(3, 2, key.child(1).child(i)))
         assert projected_radius(sym, F) == projected_radius(cloud, F)
 
 
@@ -54,11 +55,30 @@ def test_projected_radius_examples(key):
         projected_radius(_cloud([[1.0, 2.0, 3.0]], key), F)
 
 
+def test_projected_sq_norms_monotone_and_complete(key):
+    # rows nondecreasing in k with zero tolerance, on a sample and on the
+    # single-point and collinear clouds of the profile_monotone check
+    n = 16
+    clouds = [
+        sample(make_body("cube", n), 256, key.child(30)).points,
+        np.ones((1, n)) * 0.1,
+        np.linspace(-0.3, 0.3, 7)[:, None] * np.ones(n) / math.sqrt(n),
+    ]
+    for i, pts in enumerate(clouds):
+        frame = haar_subspace(n, n, key.child(31).child(i))
+        for ks in (np.arange(1, n + 1), np.array([1, 4, 8, 16]), [5]):
+            sq = projected_sq_norms(pts, frame, ks)
+            assert sq.shape == (pts.shape[0], len(ks))
+            assert np.all(np.diff(sq, axis=1) >= 0.0)
+        full = projected_sq_norms(pts, frame, [n])[:, 0]
+        np.testing.assert_allclose(full, np.sum(pts**2, axis=1), rtol=1e-12, atol=0.0)
+
+
 def test_projection_contraction(key):
     pts = standard_normal(key.child(2), 100).reshape(20, 5)
     cloud = _cloud(pts, key)
     for i in range(10):
-        F = haar_subspace(5, 2, key.child(3).child(i))
+        F = Subspace(haar_subspace(5, 2, key.child(3).child(i)))
         assert projected_radius(cloud, F) <= outer_radius_points(cloud) + 1e-12
 
 
@@ -165,7 +185,7 @@ def test_mean_width_agrees_with_k1_radius(key):
 def test_rotation_equivariance_distribution(key):
     # a fixed rotation of the cloud leaves the estimator's law unchanged
     pts = standard_normal(key.child(26), 90).reshape(30, 3)
-    u_mat = haar_flag(3, key.child(27)).basis
+    u_mat = haar_subspace(3, 3, key.child(27))
     a = np.empty(200)
     b = np.empty(200)
     for i in range(200):

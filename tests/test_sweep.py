@@ -40,6 +40,30 @@ def test_config_validation():
         SweepConfig(body="dodecahedron", n=4, N_list=[8], k_list=[1])
     with pytest.raises(ValueError):
         SweepConfig(body="cube", n=4, N_list=[], k_list=[1])
+    # exact types at the boundary: each of these used to raise TypeError,
+    # pass validation, or truncate silently
+    base = {"body": "cube", "n": 4, "N_list": [8], "k_list": [1]}
+    for key, value in [("n", "16"), ("n", 16.7), ("n", 4.0), ("n", True), ("M", 64.5),
+                       ("R", None), ("m", "100"), ("seed", 1.5), ("seed", False)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            config_from_dict({**base, key: value})
+    for key, value in [("N_list", 64), ("N_list", [64.5]), ("N_list", ["8"]),
+                       ("k_list", [True]), ("k_list", "1")]:
+        with pytest.raises(ValueError, match="lists of integers"):
+            config_from_dict({**base, key: value})
+    for value in ("1", None, [1.0]):
+        with pytest.raises(ValueError, match="s must be a number"):
+            config_from_dict({**base, "s": value})
+    for value in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="s must be positive"):
+            config_from_dict({**base, "s": value})
+    with pytest.raises(ValueError, match="out must be a path"):
+        config_from_dict({**base, "out": 5})
+    with pytest.raises(ValueError, match="JSON object"):
+        config_from_dict([base])
+    with pytest.raises(ValueError, match="missing config keys: k_list, n"):
+        config_from_dict({"body": "cube", "N_list": [8]})
+    assert config_from_dict({**base, "s": 2}).s == 2
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -91,6 +115,21 @@ def test_regime_flag():
 def test_normalizer_definition():
     assert normalizer(4, 1, 0.5) == pytest.approx(1.0)  # log 1 = 0
     assert normalizer(1, 100, 2.0) == pytest.approx(2.0 * math.sqrt(math.log(100)))
+
+
+def test_write_csv_keeps_previous_file_on_failure(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(run_sweep(SweepConfig(**BALL_CFG)), str(path))
+    previous = path.read_bytes()
+
+    def interrupted():
+        yield from run_sweep(SweepConfig(**BALL_CFG))[:2]
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_csv(interrupted(), str(path))
+    assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_csv_float_precision(tmp_path):
@@ -236,6 +275,15 @@ def test_cli_usage_errors_exit_1(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BALL_CFG, "out": "/no/such/dir/out.csv"}))
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 1
+    # malformed configs and invalid overrides exit 1 without writing a CSV
+    out = tmp_path / "out.csv"
+    for cfg in ([BALL_CFG], {**BALL_CFG, "n": "2"}, {**BALL_CFG, "N_list": 4096}):
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    cfg_path.write_text(json.dumps(BALL_CFG))
+    for bad in ("0", "-3"):
+        assert cli.main(["sweep", "--config", str(cfg_path), "--R", bad, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_cli_gaussian(capsys):
