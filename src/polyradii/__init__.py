@@ -45,7 +45,6 @@ from .moments import (
 from .radii import (
     PointCloud,
     RadiusProfile,
-    mean_outer_radius,
     mean_width,
     outer_radius_points,
     projected_radius,

@@ -172,7 +172,7 @@ def sample_points(body: Body, m: int, key: StreamKey) -> np.ndarray:
 
 
 def sample(body: Body, m: int, key: StreamKey) -> "PointCloud":
-    """m i.i.d. uniform points bundled as a PointCloud tagged with this body."""
+    """m i.i.d. uniform points bundled as a PointCloud."""
     from .radii import PointCloud
 
-    return PointCloud(sample_points(body, m, key), body, key)
+    return PointCloud(sample_points(body, m, key))

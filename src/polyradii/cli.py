@@ -11,7 +11,7 @@ import math
 import sys
 
 from .bodies import KINDS, isotropic_constant, make_body, sample
-from .radii import mean_outer_radius
+from .radii import radius_profile
 from .streams import StreamKey
 from .svgplot import emit_plot
 from .sweep import (
@@ -85,7 +85,7 @@ def _cmd_estimate(args) -> int:
     body = make_body(args.body, args.n)
     root = StreamKey(args.seed)
     cloud = sample(body, args.N, root.child(0))
-    est = mean_outer_radius(cloud, args.k, args.M, root.child(1))
+    est = radius_profile(cloud, args.M, root.child(1), [args.k]).estimate(args.k)
     L = isotropic_constant(body)
     norm = normalizer(args.k, args.N, L)
     print(f"body={args.body} n={args.n} N={args.N} k={args.k} M={args.M} seed={args.seed}")

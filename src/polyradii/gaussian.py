@@ -122,7 +122,7 @@ def gaussian_cloud(n: int, N: int, key: StreamKey) -> PointCloud:
     if n < 1 or N < 1:
         raise ValueError("need n >= 1 and N >= 1")
     pts = standard_normal(key.child(0), N * n).reshape(N, n)
-    return PointCloud(pts, "gaussian", key)
+    return PointCloud(pts)
 
 
 def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> Estimate:

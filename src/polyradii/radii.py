@@ -7,7 +7,6 @@ hull is ever built; everything reduces to inner products with frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -15,21 +14,12 @@ from .estimates import Estimate, mean_and_stderr
 from .grassmann import Subspace, haar_subspace, sphere_points
 from .streams import StreamKey
 
-if TYPE_CHECKING:
-    from .bodies import Body
-
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """N sample points whose convex hull is the random polytope.
-
-    ``source`` is the Body the points were drawn from, or the string
-    "gaussian" for standard Gaussian clouds.
-    """
+    """N sample points whose convex hull is the random polytope."""
 
     points: np.ndarray
-    source: Union["Body", str]
-    key: StreamKey
 
     def __post_init__(self) -> None:
         if self.points.ndim != 2 or self.points.shape[0] < 1:
@@ -67,7 +57,7 @@ class RadiusProfile:
 
 def symmetrize(cloud: PointCloud) -> PointCloud:
     """The cloud of +-X_j; shares every projected outer radius with the original."""
-    return PointCloud(np.vstack([cloud.points, -cloud.points]), cloud.source, cloud.key)
+    return PointCloud(np.vstack([cloud.points, -cloud.points]))
 
 
 def outer_radius_points(cloud: PointCloud) -> float:
@@ -92,41 +82,30 @@ def projected_radius(cloud: PointCloud, subspace: Subspace) -> float:
     return float(np.sqrt(np.max(sq)))
 
 
-def mean_outer_radius(cloud: PointCloud, k: int, M: int, key: StreamKey) -> Estimate:
-    """Monte Carlo k-th mean outer radius: average over M Haar subspaces."""
-    if not 1 <= k <= cloud.dim:
-        raise ValueError("need 1 <= k <= n")
-    if M < 2:
-        raise ValueError("need at least 2 subspaces")
-    vals = np.empty(M)
-    for i in range(M):
-        frame = haar_subspace(cloud.dim, k, key.child(i))
-        vals[i] = np.sqrt(np.max(projected_sq_norms(cloud.points, frame, [k])))
-    return mean_and_stderr(vals, key)
-
-
 def radius_profile(
     cloud: PointCloud, M: int, key: StreamKey, ks: np.ndarray | None = None
 ) -> RadiusProfile:
-    """Per-k mean outer radii from M Haar flags, monotone in k pathwise.
+    """Monte Carlo k-th mean outer radii from M Haar flags, monotone in k pathwise.
 
-    Each flag is a full Haar basis (haar_subspace with k = n) and its squared
-    projected norms come from projected_sq_norms, so the per-point radii
-    never decrease with k and neither does their max or the flag average.
-    ``ks`` restricts the grid (default: every k = 1..n); each per-k marginal
-    is distributed exactly as mean_outer_radius at that k.
+    Flag i is haar_subspace(n, max(ks), key.child(i)), as wide as the largest
+    requested k; its first k columns are a Haar k-frame, so each per-k column
+    averages max_j |P_F X_j| over M Haar subspaces F.  The squared projected
+    norms come from projected_sq_norms, so the per-point radii never decrease
+    with k and neither does their max or the flag average.  ``ks`` restricts
+    the grid (default: every k = 1..n).
     """
     n = cloud.dim
     if ks is None:
         ks = np.arange(1, n + 1)
     ks = np.asarray(ks, dtype=int)
     if ks.size == 0 or np.any(ks < 1) or np.any(ks > n) or np.any(np.diff(ks) <= 0):
-        raise ValueError("ks must be strictly increasing within 1..n")
+        raise ValueError(f"k values must be strictly increasing within 1..{n}")
     if M < 2:
         raise ValueError("need at least 2 flags")
+    kmax = int(ks[-1])
     per_flag = np.empty((M, ks.size))
     for i in range(M):
-        sq = projected_sq_norms(cloud.points, haar_subspace(n, n, key.child(i)), ks)
+        sq = projected_sq_norms(cloud.points, haar_subspace(n, kmax, key.child(i)), ks)
         per_flag[i] = np.sqrt(np.max(sq, axis=0))
     values = np.mean(per_flag, axis=0)
     stderrs = np.std(per_flag, axis=0, ddof=1) / np.sqrt(M)

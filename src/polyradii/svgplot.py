@@ -7,6 +7,7 @@ plots can be diffed like any other artifact.
 from __future__ import annotations
 
 import csv
+import math
 
 _WIDTH, _HEIGHT = 720, 440
 _ML, _MR, _MT, _MB = 64, 170, 36, 48
@@ -41,7 +42,12 @@ def _read_groups(csv_path: str, x: str, y: str):
             if "N" in names:
                 label_bits.append(f"N={row['N']}")
             label = " ".join(label_bits) or "data"
-            groups.setdefault(label, []).append((float(row[x]), float(row[y])))
+            if row[x] is None or row[y] is None:
+                raise ValueError(f"{csv_path} line {reader.line_num}: missing field")
+            point = (float(row[x]), float(row[y]))
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"{csv_path} line {reader.line_num}: non-finite value")
+            groups.setdefault(label, []).append(point)
     if not groups:
         raise ValueError("CSV has no data rows")
     for pts in groups.values():

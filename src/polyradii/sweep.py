@@ -18,7 +18,6 @@ from typing import Iterable
 import numpy as np
 
 from .bodies import KINDS, Body, isotropic_constant, make_body, sample
-from .estimates import Estimate
 from .gaussian import expected_max_chi, projected_max_mc, tail_sandwich_check
 from .moments import (
     centroid_width_check,
@@ -46,22 +45,6 @@ RATIO_RANGE_CALIBRATION = (1.0150394963765172, 2.202200150871888)
 # quadrature sweep at first calibration.
 GAUSSIAN_RATIO_BAND = (0.70, 2.10)
 GAUSSIAN_RATIO_CALIBRATION = (0.7978845608028629, 1.9215180302329714)
-
-CSV_COLUMNS = [
-    "body",
-    "n",
-    "N",
-    "k",
-    "replica",
-    "seed",
-    "estimate",
-    "stderr",
-    "L_K",
-    "normalizer",
-    "ratio",
-    "regime_flag",
-]
-
 
 @dataclass
 class SweepConfig:
@@ -142,6 +125,9 @@ class SweepRow:
     regime_flag: str
 
 
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
+
+
 def normalizer(k: int, N: int, L: float) -> float:
     """max(sqrt k, sqrt log N) times the isotropic constant."""
     return max(math.sqrt(k), math.sqrt(math.log(N))) * L
@@ -158,22 +144,23 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     L = isotropic_constant(body)
     root = StreamKey(config.seed)
     ks = sorted(set(config.k_list))
-    estimates: dict[tuple[int, int, int], Estimate] = {}
-    for i, N in enumerate(config.N_list):
-        for r in range(config.R):
-            cloud = sample(body, N, root.child(0).child(i).child(r))
-            prof = radius_profile(
-                cloud, config.M, root.child(1).child(i).child(r), np.asarray(ks)
-            )
-            for k in ks:
-                estimates[(i, k, r)] = prof.estimate(k)
     rows = []
     for i, N in enumerate(config.N_list):
+        profs = [
+            radius_profile(
+                sample(body, N, root.child(0).child(i).child(r)),
+                config.M,
+                root.child(1).child(i).child(r),
+                ks,
+            )
+            for r in range(config.R)
+        ]
         flag = regime_flag(config.n, N)
         for k in config.k_list:
+            j = ks.index(k)
             norm = normalizer(k, N, L)
-            for r in range(config.R):
-                est = estimates[(i, k, r)]
+            for r, prof in enumerate(profs):
+                value = float(prof.values[j])
                 rows.append(
                     SweepRow(
                         config.body,
@@ -182,11 +169,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                         k,
                         r,
                         config.seed,
-                        est.value,
-                        est.stderr,
+                        value,
+                        float(prof.stderrs[j]),
                         L,
                         norm,
-                        est.value / norm,
+                        value / norm,
                         flag,
                     )
                 )
@@ -279,6 +266,8 @@ def gaussian_oracle_report(
     """
     if not k_list or not N_list:
         raise ValueError("k_list and N_list must be nonempty")
+    if M < 0:
+        raise ValueError("M must be >= 0 (0 = oracle only)")
     ambient = n if n is not None else max(k_list)
     root = StreamKey(seed)
     rows = []
@@ -328,12 +317,8 @@ def _check_profile_monotone(body: Body, config: SweepConfig, key: StreamKey) -> 
     clouds = [
         sample(body, config.N_list[0], key.child(0)),
         # adversarial: a single point and a collinear cloud
-        PointCloud(np.ones((1, body.dim)) * 0.1, body, key.child(1)),
-        PointCloud(
-            np.linspace(-0.3, 0.3, 7)[:, None] * np.ones(body.dim) / math.sqrt(body.dim),
-            body,
-            key.child(2),
-        ),
+        PointCloud(np.ones((1, body.dim)) * 0.1),
+        PointCloud(np.linspace(-0.3, 0.3, 7)[:, None] * np.ones(body.dim) / math.sqrt(body.dim)),
     ]
     worst = 0.0
     for i, cloud in enumerate(clouds):

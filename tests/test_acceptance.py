@@ -131,11 +131,9 @@ def test_criterion_06_profile_monotone_zero_tolerance():
         clouds = [
             sample(make_body("cube", 8), 500, key.child(0)),
             sample(make_body("cross", 8), 500, key.child(1)),
-            PointCloud(np.full((1, 8), 0.2), "gaussian", key.child(2)),  # single point
-            PointCloud(
-                np.linspace(-1, 1, 11)[:, None] * np.ones(8), "gaussian", key.child(3)
-            ),  # collinear
-            PointCloud(np.zeros((3, 8)), "gaussian", key.child(4)),  # degenerate at 0
+            PointCloud(np.full((1, 8), 0.2)),  # single point
+            PointCloud(np.linspace(-1, 1, 11)[:, None] * np.ones(8)),  # collinear
+            PointCloud(np.zeros((3, 8))),  # degenerate at 0
         ]
         for i, cloud in enumerate(clouds):
             prof = radius_profile(cloud, 32, key.child(10 + i))

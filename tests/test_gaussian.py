@@ -15,7 +15,7 @@ from polyradii.gaussian import (
     tail_integral,
 )
 from polyradii.grassmann import Subspace, haar_subspace, project
-from polyradii.radii import mean_outer_radius
+from polyradii.radii import radius_profile
 from polyradii.sweep import GAUSSIAN_RATIO_BAND, GAUSSIAN_RATIO_CALIBRATION
 
 
@@ -115,7 +115,6 @@ def test_tail_sandwich_dense_grid():
 
 def test_gaussian_cloud_basics(key):
     cloud = gaussian_cloud(2, 10**6, key.child(1))
-    assert cloud.source == "gaussian"
     stderr = cloud.points.std(axis=0, ddof=1) / math.sqrt(cloud.size)
     assert np.all(np.abs(cloud.points.mean(axis=0)) <= 3 * stderr)
 
@@ -133,7 +132,7 @@ def test_mean_outer_radius_matches_oracle_for_single_cloud(key):
     # with a large cloud the Grassmann average of one cloud concentrates near
     # the oracle; keep a bias allowance on top of the subspace stderr
     cloud = gaussian_cloud(16, 2000, key.child(4))
-    est = mean_outer_radius(cloud, 4, 128, key.child(5))
+    est = radius_profile(cloud, 128, key.child(5), [4]).estimate(4)
     oracle = expected_max_chi(4, 2000)
     assert abs(est.value - oracle) <= 3 * est.stderr + 0.05 * oracle
 

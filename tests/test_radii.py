@@ -9,7 +9,6 @@ from polyradii.bodies import make_body, sample
 from polyradii.grassmann import Subspace, haar_subspace
 from polyradii.radii import (
     PointCloud,
-    mean_outer_radius,
     mean_width,
     outer_radius_points,
     projected_radius,
@@ -20,20 +19,20 @@ from polyradii.radii import (
 from polyradii.streams import standard_normal
 
 
-def _cloud(points, key):
-    return PointCloud(np.asarray(points, dtype=float), "gaussian", key)
+def _cloud(points):
+    return PointCloud(np.asarray(points, dtype=float))
 
 
-def test_outer_radius_points(key):
-    assert outer_radius_points(_cloud([[0, 0], [3, 4]], key)) == 5.0
-    assert outer_radius_points(_cloud([[1, 2, 2]], key)) == 3.0
+def test_outer_radius_points():
+    assert outer_radius_points(_cloud([[0, 0], [3, 4]])) == 5.0
+    assert outer_radius_points(_cloud([[1, 2, 2]])) == 3.0
     with pytest.raises(ValueError):
-        PointCloud(np.empty((0, 2)), "gaussian", key)
+        PointCloud(np.empty((0, 2)))
 
 
 def test_symmetrization_keeps_projected_radii(key):
     pts = standard_normal(key.child(0), 60).reshape(20, 3)
-    cloud = _cloud(pts, key)
+    cloud = _cloud(pts)
     sym = symmetrize(cloud)
     assert outer_radius_points(sym) == outer_radius_points(cloud)
     for i in range(20):
@@ -41,18 +40,18 @@ def test_symmetrization_keeps_projected_radii(key):
         assert projected_radius(sym, F) == projected_radius(cloud, F)
 
 
-def test_projected_radius_examples(key):
-    cloud = _cloud([[3, 4], [1, -7]], key)
+def test_projected_radius_examples():
+    cloud = _cloud([[3, 4], [1, -7]])
     F = Subspace(np.array([[1.0], [0.0]]))
     assert projected_radius(cloud, F) == 3.0
     full = Subspace(np.eye(2))
     assert projected_radius(cloud, full) == pytest.approx(
         outer_radius_points(cloud), rel=1e-12
     )
-    bigger = _cloud([[3, 4], [1, -7], [9, 0]], key)
+    bigger = _cloud([[3, 4], [1, -7], [9, 0]])
     assert projected_radius(bigger, F) >= projected_radius(cloud, F)
     with pytest.raises(ValueError):
-        projected_radius(_cloud([[1.0, 2.0, 3.0]], key), F)
+        projected_radius(_cloud([[1.0, 2.0, 3.0]]), F)
 
 
 def test_projected_sq_norms_monotone_and_complete(key):
@@ -76,7 +75,7 @@ def test_projected_sq_norms_monotone_and_complete(key):
 
 def test_projection_contraction(key):
     pts = standard_normal(key.child(2), 100).reshape(20, 5)
-    cloud = _cloud(pts, key)
+    cloud = _cloud(pts)
     for i in range(10):
         F = Subspace(haar_subspace(5, 2, key.child(3).child(i)))
         assert projected_radius(cloud, F) <= outer_radius_points(cloud) + 1e-12
@@ -86,7 +85,7 @@ def test_mean_outer_radius_of_dense_ball_cloud(key):
     body = make_body("ball", 3)
     cloud = sample(body, 20000, key.child(4))
     for k in (1, 2, 3):
-        est = mean_outer_radius(cloud, k, 64, key.child(5).child(k))
+        est = radius_profile(cloud, 64, key.child(5).child(k), [k]).estimate(k)
         assert abs(est.value - body.scale) <= 3 * est.stderr + 0.01 * body.scale
 
 
@@ -95,26 +94,26 @@ def test_mean_outer_radius_cross_vertices(key):
     expected = quad(lambda t: max(abs(math.cos(t)), abs(math.sin(t))) / (2 * math.pi),
                     0.0, 2 * math.pi)[0]
     assert expected == pytest.approx(2 * math.sqrt(2) / math.pi, abs=1e-9)
-    cloud = _cloud([[1, 0], [-1, 0], [0, 1], [0, -1]], key)
-    est = mean_outer_radius(cloud, 1, 5000, key.child(6))
+    cloud = _cloud([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    est = radius_profile(cloud, 5000, key.child(6), [1]).estimate(1)
     assert abs(est.value - expected) <= 3 * est.stderr
 
 
 def test_mean_outer_radius_full_dimension_is_exact(key):
     pts = standard_normal(key.child(7), 80).reshape(16, 5)
-    cloud = _cloud(pts, key)
-    est = mean_outer_radius(cloud, 5, 8, key.child(8))
+    cloud = _cloud(pts)
+    est = radius_profile(cloud, 8, key.child(8), [5]).estimate(5)
     assert est.value == pytest.approx(outer_radius_points(cloud), rel=1e-12)
     assert est.stderr <= 1e-12 * est.value
     with pytest.raises(ValueError):
-        mean_outer_radius(cloud, 6, 8, key.child(8))
+        radius_profile(cloud, 8, key.child(8), [6]).estimate(6)
 
 
 def test_profile_monotone_exactly(key):
     clouds = [
-        _cloud(standard_normal(key.child(9), 300).reshape(50, 6), key),
-        _cloud(np.full((1, 6), 0.3), key),  # single point
-        _cloud(np.linspace(-1, 1, 9)[:, None] * np.ones(6), key),  # collinear
+        _cloud(standard_normal(key.child(9), 300).reshape(50, 6)),
+        _cloud(np.full((1, 6), 0.3)),  # single point
+        _cloud(np.linspace(-1, 1, 9)[:, None] * np.ones(6)),  # collinear
     ]
     for cloud in clouds:
         prof = radius_profile(cloud, 16, key.child(10))
@@ -123,7 +122,7 @@ def test_profile_monotone_exactly(key):
 
 def test_profile_endpoint_and_subset(key):
     pts = standard_normal(key.child(11), 200).reshape(40, 5)
-    cloud = _cloud(pts, key)
+    cloud = _cloud(pts)
     prof = radius_profile(cloud, 8, key.child(12))
     assert prof.values[-1] == pytest.approx(outer_radius_points(cloud), rel=1e-12)
     sub = radius_profile(cloud, 8, key.child(12), ks=np.array([2, 5]))
@@ -149,14 +148,35 @@ def test_profile_marginal_matches_mean_outer_radius(key):
     cloud = sample(body, 500, key.child(15))
     prof = radius_profile(cloud, 256, key.child(16))
     for k in (1, 2, 4):
-        est = mean_outer_radius(cloud, k, 256, key.child(17).child(k))
+        est = radius_profile(cloud, 256, key.child(17).child(k), [k]).estimate(k)
         combined = math.hypot(prof.estimate(k).stderr, est.stderr)
         # + rounding slack: at k = n both sides are deterministic
         assert abs(prof.estimate(k).value - est.value) <= 3 * combined + 1e-12 * est.value
 
 
+def test_profile_flags_are_as_wide_as_the_largest_k(key):
+    # flag i is haar_subspace(n, max(ks), key.child(i)); a one-k profile is the
+    # plain Monte Carlo mean over (n, k) Haar frames, bit for bit
+    n, M = 7, 16
+    pts = standard_normal(key.child(32), 30 * n).reshape(30, n)
+    cloud = _cloud(pts)
+
+    def per_flag_radii(width, ks):
+        radii = np.empty((M, len(ks)))
+        for i in range(M):
+            frame = haar_subspace(n, width, key.child(i))
+            radii[i] = np.sqrt(np.max(projected_sq_norms(pts, frame, ks), axis=0))
+        return radii
+
+    for k in (1, 3, n):
+        expected = np.mean(per_flag_radii(k, [k])[:, 0])
+        assert radius_profile(cloud, M, key, [k]).estimate(k).value == expected
+    sub = radius_profile(cloud, M, key, ks=[2, 5])
+    assert np.array_equal(sub.values, np.mean(per_flag_radii(5, [2, 5]), axis=0))
+
+
 def test_profile_estimate_lookup(key):
-    cloud = _cloud(standard_normal(key.child(18), 60).reshape(12, 5), key)
+    cloud = _cloud(standard_normal(key.child(18), 60).reshape(12, 5))
     prof = radius_profile(cloud, 4, key.child(19), ks=np.array([1, 3]))
     assert prof.estimate(3).value == prof.values[1]
     with pytest.raises(KeyError):
@@ -165,7 +185,7 @@ def test_profile_estimate_lookup(key):
 
 def test_mean_width_examples(key):
     # conv{+-e1} in R^3: E |theta_1| over the sphere is exactly 1/2
-    cloud = _cloud([[1, 0, 0], [-1, 0, 0]], key)
+    cloud = _cloud([[1, 0, 0], [-1, 0, 0]])
     est = mean_width(cloud, 20000, key.child(20))
     assert abs(est.value - 0.5) <= 3 * est.stderr
 
@@ -178,7 +198,7 @@ def test_mean_width_examples(key):
 def test_mean_width_agrees_with_k1_radius(key):
     cloud = sample(make_body("cross", 3), 1000, key.child(23))
     a = mean_width(cloud, 4000, key.child(24))
-    b = mean_outer_radius(cloud, 1, 4000, key.child(25))
+    b = radius_profile(cloud, 4000, key.child(25), [1]).estimate(1)
     assert abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)
 
 
@@ -189,6 +209,8 @@ def test_rotation_equivariance_distribution(key):
     a = np.empty(200)
     b = np.empty(200)
     for i in range(200):
-        a[i] = mean_outer_radius(_cloud(pts, key), 2, 8, key.child(28).child(i)).value
-        b[i] = mean_outer_radius(_cloud(pts @ u_mat.T, key), 2, 8, key.child(29).child(i)).value
+        a[i] = radius_profile(_cloud(pts), 8, key.child(28).child(i), [2]).estimate(2).value
+        b[i] = radius_profile(
+            _cloud(pts @ u_mat.T), 8, key.child(29).child(i), [2]
+        ).estimate(2).value
     assert ks_2samp(a, b).pvalue > 0.01

@@ -223,6 +223,31 @@ def test_emit_plot_unknown_column(tmp_path):
         emit_plot(str(csv_path), "k", "nope", str(tmp_path / "x.svg"))
 
 
+def test_emit_plot_short_row_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "short.csv"
+    csv_path.write_text("body,N,k,estimate\ncube,10,2\n")
+    svg = tmp_path / "x.svg"
+    argv = ["plot", str(csv_path), "--x", "k", "--y", "estimate", "--out", str(svg)]
+    assert cli.main(argv) == 1
+    assert "polyradii: error:" in capsys.readouterr().err
+    assert not svg.exists()
+    with pytest.raises(ValueError, match="line 2: missing field"):
+        emit_plot(str(csv_path), "k", "estimate", str(svg))
+
+
+def test_emit_plot_non_finite_value_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "nan.csv"
+    svg = tmp_path / "x.svg"
+    for bad in ("nan", "inf"):
+        csv_path.write_text(f"body,N,k,estimate\ncube,10,1,1.5\ncube,10,2,{bad}\n")
+        argv = ["plot", str(csv_path), "--x", "k", "--y", "estimate", "--out", str(svg)]
+        assert cli.main(argv) == 1
+        assert "polyradii: error:" in capsys.readouterr().err
+        assert not svg.exists()
+        with pytest.raises(ValueError, match="line 3: non-finite value"):
+            emit_plot(str(csv_path), "k", "estimate", str(svg))
+
+
 def test_cli_estimate(capsys):
     rc = cli.main(
         ["estimate", "--body", "ball", "--n", "3", "--N", "500", "--k", "2",
@@ -231,6 +256,16 @@ def test_cli_estimate(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "estimate" in out and "ratio" in out
+    # the README example, printed bytes recorded before estimate ran through radius_profile
+    rc = cli.main(
+        ["estimate", "--body", "cube", "--n", "16", "--N", "256", "--k", "4",
+         "--M", "64", "--seed", "7"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert "estimate   1.056461465" in lines
+    assert "stderr     0.008442" in lines
+    assert "ratio      1.554127194" in lines
 
 
 def test_cli_sweep_and_plot(tmp_path, capsys):
@@ -284,6 +319,8 @@ def test_cli_usage_errors_exit_1(tmp_path):
     for bad in ("0", "-3"):
         assert cli.main(["sweep", "--config", str(cfg_path), "--R", bad, "--out", str(out)]) == 1
     assert not out.exists()
+    # a negative MC replica count is an error, not the oracle-only table
+    assert cli.main(["gaussian", "--k", "2", "--N", "100", "--M", "-3"]) == 1
 
 
 def test_cli_gaussian(capsys):
