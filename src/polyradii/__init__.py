@@ -24,19 +24,15 @@ from .gaussian import (
     tail_sandwich_check,
 )
 from .grassmann import (
-    Subspace,
     haar_subspace,
-    project,
     sphere_marginal_moment,
     sphere_points,
-    sphere_sample,
 )
 from .moments import (
     ball_moment_exact,
     centroid_width_check,
     grassmann_moment_avg,
     moment,
-    moment_subspace,
     negative_moment_ratios,
     p_mean_width,
     positive_moment_ratios,
@@ -47,10 +43,8 @@ from .radii import (
     RadiusProfile,
     mean_width,
     outer_radius_points,
-    projected_radius,
     projected_sq_norms,
     radius_profile,
-    symmetrize,
 )
 from .streams import StreamKey, derive_stream, standard_normal, uniform
 from .sweep import (

@@ -8,15 +8,12 @@ inversion-based (rejection-free) so a stream key pins the output exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import gammaln
 
+from .radii import PointCloud
 from .streams import StreamKey, standard_exponential, standard_normal, uniform
-
-if TYPE_CHECKING:
-    from .radii import PointCloud
 
 KINDS = ("cube", "ball", "cross", "simplex")
 
@@ -171,8 +168,6 @@ def sample_points(body: Body, m: int, key: StreamKey) -> np.ndarray:
     return weights @ body.vertices
 
 
-def sample(body: Body, m: int, key: StreamKey) -> "PointCloud":
+def sample(body: Body, m: int, key: StreamKey) -> PointCloud:
     """m i.i.d. uniform points bundled as a PointCloud."""
-    from .radii import PointCloud
-
     return PointCloud(sample_points(body, m, key))

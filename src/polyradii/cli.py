@@ -17,7 +17,6 @@ from .svgplot import emit_plot
 from .sweep import (
     DEFAULT_M,
     DEFAULT_SEED,
-    config_from_dict,
     default_check_config,
     consistency_checks,
     load_config,

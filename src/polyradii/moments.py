@@ -15,36 +15,20 @@ import numpy as np
 
 from .bodies import Body, isotropic_constant, sample_points
 from .estimates import Estimate, mean_and_stderr, power_estimate, scale_estimate
-from .grassmann import Subspace, haar_subspace, sphere_marginal_moment, sphere_points
+from .grassmann import haar_subspace, sphere_marginal_moment, sphere_points
 from .radii import projected_sq_norms
 from .streams import StreamKey
 
 _MIN_SAMPLES = 100
 
 
-def _guard_exponent(q: float, dim: int) -> None:
-    if q == 0 or (q < 0 and -q >= (dim - 1) / 2.0):
-        raise ValueError("variance-unsafe exponent")
-
-
 def moment(body: Body, q: float, m: int, key: StreamKey) -> Estimate:
     """I_q(K) = (mean of |X|^q)^(1/q) with delta-method stderr."""
-    _guard_exponent(q, body.dim)
+    if q == 0 or (q < 0 and -q >= (body.dim - 1) / 2.0):
+        raise ValueError("variance-unsafe exponent")
     if m < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples")
     r = np.linalg.norm(sample_points(body, m, key.child(0)), axis=1)
-    return power_estimate(mean_and_stderr(r**q, key), 1.0 / q)
-
-
-def moment_subspace(body: Body, subspace: Subspace, q: float, m: int, key: StreamKey) -> Estimate:
-    """I_q(K, F): the same estimator applied to |P_F X|."""
-    if subspace.n != body.dim:
-        raise ValueError("body and subspace dimension mismatch")
-    _guard_exponent(q, subspace.k)
-    if m < _MIN_SAMPLES:
-        raise ValueError(f"need at least {_MIN_SAMPLES} samples")
-    pts = sample_points(body, m, key.child(0))
-    r = np.sqrt(projected_sq_norms(pts, subspace.frame, [subspace.k])[:, 0])
     return power_estimate(mean_and_stderr(r**q, key), 1.0 / q)
 
 

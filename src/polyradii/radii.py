@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import Estimate, mean_and_stderr
-from .grassmann import Subspace, haar_subspace, sphere_points
+from .grassmann import haar_subspace, sphere_points
 from .streams import StreamKey
 
 
@@ -55,11 +55,6 @@ class RadiusProfile:
         return Estimate(float(self.values[i]), float(self.stderrs[i]), self.flags_used, self.key)
 
 
-def symmetrize(cloud: PointCloud) -> PointCloud:
-    """The cloud of +-X_j; shares every projected outer radius with the original."""
-    return PointCloud(np.vstack([cloud.points, -cloud.points]))
-
-
 def outer_radius_points(cloud: PointCloud) -> float:
     """R(conv X) = max_j |X_j|."""
     return float(np.max(np.linalg.norm(cloud.points, axis=1)))
@@ -72,14 +67,6 @@ def projected_sq_norms(points: np.ndarray, frame: np.ndarray, ks) -> np.ndarray:
     """
     sq = (points @ frame[:, : ks[-1]]) ** 2
     return np.cumsum(np.add.reduceat(sq, [0, *ks[:-1]], axis=1), axis=1)
-
-
-def projected_radius(cloud: PointCloud, subspace: Subspace) -> float:
-    """max_j |P_F X_j|, the outer radius of the projected hull."""
-    if cloud.dim != subspace.n:
-        raise ValueError("cloud and subspace dimension mismatch")
-    sq = projected_sq_norms(cloud.points, subspace.frame, [subspace.k])
-    return float(np.sqrt(np.max(sq)))
 
 
 def radius_profile(

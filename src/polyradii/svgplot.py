@@ -25,6 +25,13 @@ _PALETTE = [
 ]
 
 
+def _number(row: dict, col: str, where: str) -> float:
+    try:
+        return float(row[col])
+    except ValueError:
+        raise ValueError(f"{where}: column {col!r} is not a number: {row[col]!r}") from None
+
+
 def _read_groups(csv_path: str, x: str, y: str):
     with open(csv_path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -42,11 +49,12 @@ def _read_groups(csv_path: str, x: str, y: str):
             if "N" in names:
                 label_bits.append(f"N={row['N']}")
             label = " ".join(label_bits) or "data"
+            where = f"{csv_path} line {reader.line_num}"
             if row[x] is None or row[y] is None:
-                raise ValueError(f"{csv_path} line {reader.line_num}: missing field")
-            point = (float(row[x]), float(row[y]))
+                raise ValueError(f"{where}: missing field")
+            point = (_number(row, x, where), _number(row, y, where))
             if not all(map(math.isfinite, point)):
-                raise ValueError(f"{csv_path} line {reader.line_num}: non-finite value")
+                raise ValueError(f"{where}: non-finite value")
             groups.setdefault(label, []).append(point)
     if not groups:
         raise ValueError("CSV has no data rows")

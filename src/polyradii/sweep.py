@@ -405,6 +405,10 @@ def _check_tail_sandwich() -> CheckResult:
 def consistency_checks(config: SweepConfig | None = None, q: int = 2) -> list[CheckResult]:
     """Run every band and identity verification; one CheckResult per check."""
     config = config if config is not None else default_check_config()
+    # the centroid check projects onto k = max(2q + 2, n // 2) <= n dimensions
+    q_max = (config.n - 2) // 2
+    if not 1 <= q <= q_max:
+        raise ValueError(f"check needs 1 <= q <= {q_max} for n={config.n}, got q={q}")
     body = make_body(config.body, config.n)
     root = StreamKey(config.seed)
     results = [

@@ -6,12 +6,11 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from polyradii.bodies import Body, isotropic_constant, make_body, support
-from polyradii.grassmann import Subspace, haar_subspace, sphere_marginal_moment
+from polyradii.grassmann import sphere_marginal_moment
 from polyradii.moments import (
     ball_moment_exact,
     grassmann_moment_avg,
     moment,
-    moment_subspace,
     p_mean_width,
     negative_moment_ratios,
     positive_moment_ratios,
@@ -60,18 +59,6 @@ def test_moment_guards(key):
         moment(body, 2.0, 99, key)
     # just inside the guard is fine
     moment(body, -3.4, 1000, key)
-
-
-def test_moment_subspace(key):
-    body = make_body("cross", 6)
-    full = Subspace(np.eye(6))
-    a = moment_subspace(body, full, 2.0, 100000, key.child(3))
-    b = moment(body, 2.0, 100000, key.child(4))
-    assert abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)
-    # negative-q guard uses the subspace dimension
-    F = Subspace(haar_subspace(6, 2, key.child(5)))
-    with pytest.raises(ValueError, match="variance-unsafe"):
-        moment_subspace(body, F, -0.5, 1000, key.child(6))
 
 
 def test_moment_holder_monotone(key):

@@ -238,13 +238,17 @@ def test_emit_plot_short_row_exits_1(tmp_path, capsys):
 def test_emit_plot_non_finite_value_exits_1(tmp_path, capsys):
     csv_path = tmp_path / "nan.csv"
     svg = tmp_path / "x.svg"
-    for bad in ("nan", "inf"):
+    for bad, match in (
+        ("nan", "line 3: non-finite value"),
+        ("inf", "line 3: non-finite value"),
+        ("abc", "line 3: column 'estimate' is not a number: 'abc'"),
+    ):
         csv_path.write_text(f"body,N,k,estimate\ncube,10,1,1.5\ncube,10,2,{bad}\n")
         argv = ["plot", str(csv_path), "--x", "k", "--y", "estimate", "--out", str(svg)]
         assert cli.main(argv) == 1
         assert "polyradii: error:" in capsys.readouterr().err
         assert not svg.exists()
-        with pytest.raises(ValueError, match="line 3: non-finite value"):
+        with pytest.raises(ValueError, match=match):
             emit_plot(str(csv_path), "k", "estimate", str(svg))
 
 
@@ -299,7 +303,7 @@ def test_cli_sweep_seed_override_changes_rows(tmp_path):
     assert (tmp_path / "s.csv").read_bytes() != first
 
 
-def test_cli_usage_errors_exit_1(tmp_path):
+def test_cli_usage_errors_exit_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["estimate", "--body", "pyramid", "--n", "3", "--N", "10", "--k", "1"])
     assert exc.value.code == 1
@@ -321,6 +325,10 @@ def test_cli_usage_errors_exit_1(tmp_path):
     assert not out.exists()
     # a negative MC replica count is an error, not the oracle-only table
     assert cli.main(["gaussian", "--k", "2", "--N", "100", "--M", "-3"]) == 1
+    # check --q outside the suite's range fails before any check runs
+    for bad in ("8", "0"):
+        assert cli.main(["check", "--q", bad]) == 1
+        assert f"check needs 1 <= q <= 7 for n=16, got q={bad}" in capsys.readouterr().err
 
 
 def test_cli_gaussian(capsys):
