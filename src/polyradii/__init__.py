@@ -34,9 +34,7 @@ from .moments import (
     grassmann_moment_avg,
     moment,
     negative_moment_ratios,
-    p_mean_width,
     positive_moment_ratios,
-    zq_support,
 )
 from .radii import (
     PointCloud,
@@ -46,10 +44,9 @@ from .radii import (
     projected_sq_norms,
     radius_profile,
 )
-from .streams import StreamKey, derive_stream, standard_normal, uniform
+from .streams import StreamKey, standard_normal, uniform
 from .sweep import (
     SweepConfig,
-    band_probability_report,
     consistency_checks,
     gaussian_oracle_report,
     run_sweep,

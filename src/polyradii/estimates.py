@@ -1,4 +1,4 @@
-"""Monte Carlo estimates with standard errors and reproducibility keys."""
+"""Monte Carlo estimates with standard errors."""
 
 from __future__ import annotations
 
@@ -6,21 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import StreamKey
-
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo value with its standard error and provenance.
-
-    Re-running the producing estimator with the same key reproduces
-    ``value`` bit-for-bit.
-    """
+    """A Monte Carlo value with its standard error and sample count."""
 
     value: float
     stderr: float
     samples: int
-    key: StreamKey
 
     def __post_init__(self) -> None:
         if self.samples < 1:
@@ -29,7 +22,7 @@ class Estimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def mean_and_stderr(xs: np.ndarray, key: StreamKey) -> Estimate:
+def mean_and_stderr(xs: np.ndarray) -> Estimate:
     """Mean and stderr of a sample, reduced in a fixed index order.
 
     The reduction is numpy's pairwise summation over the array as given,
@@ -42,13 +35,13 @@ def mean_and_stderr(xs: np.ndarray, key: StreamKey) -> Estimate:
         raise ValueError("empty sample")
     mean = float(np.sum(xs) / n)
     if n == 1:
-        return Estimate(mean, 0.0, 1, key)
+        return Estimate(mean, 0.0, 1)
     var = float(np.sum((xs - mean) ** 2) / (n - 1))
-    return Estimate(mean, np.sqrt(var / n), n, key)
+    return Estimate(mean, np.sqrt(var / n), n)
 
 
 def scale_estimate(est: Estimate, factor: float) -> Estimate:
-    return Estimate(est.value * factor, est.stderr * abs(factor), est.samples, est.key)
+    return Estimate(est.value * factor, est.stderr * abs(factor), est.samples)
 
 
 def power_estimate(est: Estimate, exponent: float) -> Estimate:
@@ -60,4 +53,4 @@ def power_estimate(est: Estimate, exponent: float) -> Estimate:
         raise ValueError("power transform needs a positive estimate")
     value = est.value**exponent
     deriv = abs(exponent) * est.value ** (exponent - 1.0)
-    return Estimate(value, deriv * est.stderr, est.samples, est.key)
+    return Estimate(value, deriv * est.stderr, est.samples)

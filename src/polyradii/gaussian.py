@@ -22,6 +22,8 @@ from .grassmann import haar_subspace
 from .radii import PointCloud, projected_sq_norms
 from .streams import StreamKey, standard_normal
 
+_ABS_TOL = 1e-9  # absolute error target of expected_max_chi
+
 
 def chi_cdf(k: int, t: float | np.ndarray) -> float | np.ndarray:
     """CDF of the chi distribution with k degrees of freedom.
@@ -37,17 +39,15 @@ def chi_cdf(k: int, t: float | np.ndarray) -> float | np.ndarray:
     return float(out) if np.isscalar(t) else out
 
 
-def expected_max_chi(k: int, N: int, abs_tol: float = 1e-9) -> float:
+def expected_max_chi(k: int, N: int) -> float:
     """E max over N independent chi_k variables, by adaptive quadrature.
 
     Integrates 1 - F(t)^N over [0, t_max] where the truncation point comes
-    from the union bound N (1 - F(t)): the discarded tail is below abs_tol.
+    from the union bound N (1 - F(t)): the discarded tail is below _ABS_TOL.
     F^N is evaluated as exp(N log1p(-sf)) so huge N stays stable.
     """
     if k < 1 or N < 1:
         raise ValueError("need k >= 1 and N >= 1")
-    if abs_tol <= 0:
-        raise ValueError("tolerance must be positive")
     a = k / 2.0
 
     def integrand(t: float) -> float:
@@ -57,9 +57,9 @@ def expected_max_chi(k: int, N: int, abs_tol: float = 1e-9) -> float:
         return -math.expm1(N * math.log1p(-sf))
 
     t_max = max(math.sqrt(k), 1.0)
-    while N * float(gammaincc(a, 0.5 * t_max * t_max)) > abs_tol / max(t_max, 1.0):
+    while N * float(gammaincc(a, 0.5 * t_max * t_max)) > _ABS_TOL / max(t_max, 1.0):
         t_max *= 2.0
-    value, _ = quad(integrand, 0.0, t_max, epsabs=0.5 * abs_tol, limit=200)
+    value, _ = quad(integrand, 0.0, t_max, epsabs=0.5 * _ABS_TOL, limit=200)
     return float(value)
 
 
@@ -142,4 +142,4 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
         pts = gaussian_cloud(n, N, child).points
         frame = haar_subspace(n, k, child.child(1))
         vals[i] = np.sqrt(np.max(projected_sq_norms(pts, frame, [k])))
-    return mean_and_stderr(vals, key)
+    return mean_and_stderr(vals)

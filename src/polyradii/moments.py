@@ -1,15 +1,14 @@
 """Moment functionals of the Euclidean norm over isotropic bodies.
 
-Positive and negative moments, their Grassmannian averages, p-mean widths
-and centroid-body support values, with the variance guards plain Monte Carlo
-needs for negative exponents (the projected norm has density ~ t^(k-1) near
-zero, so |P_F x|^(-q) keeps finite variance only for q < (k-1)/2).
+Positive and negative moments, their Grassmannian averages and the
+centroid-body width check, with the variance guards plain Monte Carlo needs
+for negative exponents (the projected norm has density ~ t^(k-1) near zero,
+so |P_F x|^(-q) keeps finite variance only for q < (k-1)/2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .radii import projected_sq_norms
 from .streams import StreamKey
 
 _MIN_SAMPLES = 100
+_DIRECTIONS = 64  # directions inside F per -q mean width
 
 
 def moment(body: Body, q: float, m: int, key: StreamKey) -> Estimate:
@@ -29,7 +29,7 @@ def moment(body: Body, q: float, m: int, key: StreamKey) -> Estimate:
     if m < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples")
     r = np.linalg.norm(sample_points(body, m, key.child(0)), axis=1)
-    return power_estimate(mean_and_stderr(r**q, key), 1.0 / q)
+    return power_estimate(mean_and_stderr(r**q), 1.0 / q)
 
 
 def ball_moment_exact(body: Body, q: float) -> float:
@@ -83,44 +83,14 @@ def grassmann_moment_avg(
     per_subspace = np.mean(powers, axis=1)
     per_point = np.mean(powers, axis=0)
     var = np.var(per_subspace, ddof=1) / M + np.var(per_point, ddof=1) / m
-    estimate = power_estimate(Estimate(total, float(np.sqrt(var)), M * m, key), 1.0 / q)
+    estimate = power_estimate(Estimate(total, float(np.sqrt(var)), M * m), 1.0 / q)
 
     mratio = (sphere_marginal_moment(n, q) / sphere_marginal_moment(k, q)) ** (1.0 / q)
     if body.kind == "ball":
-        iq = Estimate(ball_moment_exact(body, q), 0.0, 1, key.child(2))
+        iq = Estimate(ball_moment_exact(body, q), 0.0, 1)
     else:
         iq = moment(body, q, m, key.child(2))
     return GrassmannMomentAvg(estimate, scale_estimate(iq, mratio), iq)
-
-
-def p_mean_width(
-    support_fn: Callable[[np.ndarray], float], n: int, p: float, M: int, key: StreamKey
-) -> Estimate:
-    """w_p = (mean over uniform directions of h(theta)^p)^(1/p)."""
-    if p == 0:
-        raise ValueError("p must be nonzero")
-    if M < 2:
-        raise ValueError("need at least 2 directions")
-    thetas = sphere_points(n, M, key.child(0))
-    h = np.array([float(support_fn(theta)) for theta in thetas])
-    if p < 0 and np.any(h <= 0.0):
-        raise ValueError("degenerate body for negative width")
-    return power_estimate(mean_and_stderr(h**p, key), 1.0 / p)
-
-
-def zq_support(body: Body, q: float, theta: np.ndarray, m: int, key: StreamKey) -> Estimate:
-    """Support value of the L_q centroid body: (mean |<X, theta>|^q)^(1/q)."""
-    if q < 1:
-        raise ValueError("centroid bodies need q >= 1")
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (body.dim,):
-        raise ValueError("direction dimension mismatch")
-    if abs(np.linalg.norm(theta) - 1.0) > 1e-10:
-        raise ValueError("direction must be a unit vector")
-    if m < _MIN_SAMPLES:
-        raise ValueError(f"need at least {_MIN_SAMPLES} samples")
-    dots = np.abs(sample_points(body, m, key.child(0)) @ theta)
-    return power_estimate(mean_and_stderr(dots**q, key), 1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -189,13 +159,7 @@ class CentroidWidthReport:
 
 
 def centroid_width_check(
-    body: Body,
-    k: int,
-    q: int,
-    M: int,
-    m: int,
-    key: StreamKey,
-    directions: int = 64,
+    body: Body, k: int, q: int, M: int, m: int, key: StreamKey
 ) -> CentroidWidthReport:
     """Check the negative-moment / centroid-body width equivalence.
 
@@ -213,7 +177,7 @@ def centroid_width_check(
         raise ValueError("proposition hypothesis violated")
     if q >= (k - 1) / 2.0:
         raise ValueError("variance-unsafe exponent")
-    if M < 2 or m < _MIN_SAMPLES or directions < 2:
+    if M < 2 or m < _MIN_SAMPLES:
         raise ValueError("insufficient sample counts")
     pts = sample_points(body, m, key.child(0))
     lhs = np.empty(M)
@@ -222,7 +186,7 @@ def centroid_width_check(
         frame = haar_subspace(n, k, key.child(1).child(i))
         nrm = np.sqrt(projected_sq_norms(pts, frame, [k])[:, 0])
         lhs[i] = np.mean(nrm ** (-q)) ** (-1.0 / q)
-        inner = sphere_points(k, directions, key.child(2).child(i))
+        inner = sphere_points(k, _DIRECTIONS, key.child(2).child(i))
         dirs = frame @ inner.T
         hq = np.mean(np.abs(pts @ dirs) ** q, axis=0)
         width_neg = np.mean(1.0 / hq) ** (-1.0 / q)

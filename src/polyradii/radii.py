@@ -46,13 +46,12 @@ class RadiusProfile:
     values: np.ndarray
     stderrs: np.ndarray
     flags_used: int
-    key: StreamKey
 
     def estimate(self, k: int) -> Estimate:
         i = int(np.searchsorted(self.ks, k))
         if i >= self.ks.size or self.ks[i] != k:
             raise KeyError(f"profile has no entry for k={k}")
-        return Estimate(float(self.values[i]), float(self.stderrs[i]), self.flags_used, self.key)
+        return Estimate(float(self.values[i]), float(self.stderrs[i]), self.flags_used)
 
 
 def outer_radius_points(cloud: PointCloud) -> float:
@@ -96,7 +95,7 @@ def radius_profile(
         per_flag[i] = np.sqrt(np.max(sq, axis=0))
     values = np.mean(per_flag, axis=0)
     stderrs = np.std(per_flag, axis=0, ddof=1) / np.sqrt(M)
-    return RadiusProfile(ks, values, stderrs, M, key)
+    return RadiusProfile(ks, values, stderrs, M)
 
 
 def mean_width(cloud: PointCloud, M: int, key: StreamKey) -> Estimate:
@@ -108,4 +107,4 @@ def mean_width(cloud: PointCloud, M: int, key: StreamKey) -> Estimate:
         raise ValueError("need at least 2 directions")
     thetas = sphere_points(cloud.dim, M, key.child(0))
     vals = np.max(np.abs(cloud.points @ thetas.T), axis=0)
-    return mean_and_stderr(vals, key)
+    return mean_and_stderr(vals)

@@ -35,12 +35,8 @@ class StreamKey:
                 raise ValueError(f"stream index {value} outside unsigned 64-bit range")
 
     def child(self, index: int) -> "StreamKey":
-        return derive_stream(self, index)
-
-
-def derive_stream(parent: StreamKey, index: int) -> StreamKey:
-    """Append a task index to the parent's path; pure, order-independent."""
-    return StreamKey(parent.root, parent.path + (int(index),))
+        """Append a task index to the path; pure, order-independent."""
+        return StreamKey(self.root, self.path + (int(index),))
 
 
 def generator(key: StreamKey) -> np.random.Generator:

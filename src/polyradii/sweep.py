@@ -57,7 +57,6 @@ class SweepConfig:
     M: int = DEFAULT_M
     R: int = DEFAULT_R
     m: int = DEFAULT_POINTS
-    s: float = 1.0
     seed: int = DEFAULT_SEED
     out: str | None = None
 
@@ -72,8 +71,6 @@ class SweepConfig:
         lists = (self.N_list, self.k_list)
         if not all(type(v) is list and all(type(x) is int for x in v) for v in lists):
             raise ValueError("N_list and k_list must be lists of integers")
-        if type(self.s) not in (int, float):
-            raise ValueError("s must be a number")
         if not (self.out is None or isinstance(self.out, str)):
             raise ValueError("out must be a path string")
         if self.n < 1:
@@ -86,8 +83,6 @@ class SweepConfig:
             raise ValueError("N_list entries must be >= n")
         if self.M < 2 or self.R < 1 or self.m < 1:
             raise ValueError("M, R and m must be positive (M >= 2)")
-        if not 0 < self.s < math.inf:
-            raise ValueError("s must be positive and finite")
 
 
 def config_from_dict(data: dict) -> SweepConfig:
@@ -209,37 +204,6 @@ def write_csv(rows: Iterable[SweepRow], path: str) -> None:
 
 
 @dataclass(frozen=True)
-class BandProbabilityRow:
-    """Empirical in-band probability for one (N, k) cell versus 1 - N^(-s)."""
-
-    N: int
-    k: int
-    replicas: int
-    fraction_in_band: float
-    prob_floor: float
-    band: tuple[float, float]
-
-
-def band_probability_report(
-    config: SweepConfig, band: tuple[float, float] | None = None
-) -> list[BandProbabilityRow]:
-    """Per-cell fraction of replica ratios inside the pinned band."""
-    if config.R < 50:
-        raise ValueError("need R >= 50 replicas for a probability report")
-    lo, hi = band if band is not None else PINNED_RATIO_BAND
-    rows = run_sweep(config)
-    report = []
-    for N in config.N_list:
-        for k in config.k_list:
-            ratios = [r.ratio for r in rows if r.N == N and r.k == k]
-            inside = sum(lo <= x <= hi for x in ratios) / len(ratios)
-            report.append(
-                BandProbabilityRow(N, k, len(ratios), inside, 1.0 - N ** (-config.s), (lo, hi))
-            )
-    return report
-
-
-@dataclass(frozen=True)
 class GaussianOracleRow:
     """Gaussian cloud Monte Carlo against the chi-max quadrature oracle."""
 
@@ -266,9 +230,14 @@ def gaussian_oracle_report(
     """
     if not k_list or not N_list:
         raise ValueError("k_list and N_list must be nonempty")
-    if M < 0:
-        raise ValueError("M must be >= 0 (0 = oracle only)")
+    if M < 0 or M == 1:
+        raise ValueError(f"M must be 0 (oracle only) or >= 2, got M={M}")
     ambient = n if n is not None else max(k_list)
+    for k in k_list:
+        if not 1 <= k <= ambient:
+            raise ValueError(f"k={k} outside 1..n for n={ambient}")
+    if min(N_list) < 1:
+        raise ValueError(f"N={min(N_list)} must be >= 1")
     root = StreamKey(seed)
     rows = []
     for i, k in enumerate(k_list):
@@ -405,6 +374,9 @@ def _check_tail_sandwich() -> CheckResult:
 def consistency_checks(config: SweepConfig | None = None, q: int = 2) -> list[CheckResult]:
     """Run every band and identity verification; one CheckResult per check."""
     config = config if config is not None else default_check_config()
+    # the negative-moment table needs floor(min(sqrt n, (n - 1)/2 - 1)) >= 1, i.e. n >= 5
+    if config.n < 5:
+        raise ValueError(f"check needs n >= 5, got n={config.n}")
     # the centroid check projects onto k = max(2q + 2, n // 2) <= n dimensions
     q_max = (config.n - 2) // 2
     if not 1 <= q <= q_max:

@@ -5,17 +5,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from polyradii.bodies import Body, isotropic_constant, make_body, support
+from polyradii.bodies import Body, isotropic_constant, make_body
 from polyradii.grassmann import sphere_marginal_moment
 from polyradii.moments import (
     ball_moment_exact,
     grassmann_moment_avg,
     moment,
-    p_mean_width,
     negative_moment_ratios,
     positive_moment_ratios,
     centroid_width_check,
-    zq_support,
 )
 
 UNIT_BALL_2 = Body("ball", 2, 1.0)
@@ -85,50 +83,6 @@ def test_grassmann_moment_avg_full_dimension(key):
     assert abs(ga.estimate.value - ga.iq.value) <= 3 * combined
     with pytest.raises(ValueError):
         grassmann_moment_avg(body, 2, 0.5, 100, 20000, key.child(11))
-
-
-def test_p_mean_width_ball_constant(key):
-    body = make_body("ball", 5)
-    for p in (-2.0, 1.0, 3.0):
-        est = p_mean_width(lambda theta: support(body, theta), 5, p, 500, key.child(12))
-        assert est.value == pytest.approx(body.scale, rel=1e-12)
-
-
-def test_p_mean_width_cube(key):
-    # (1/2) E(|t1| + |t2|) on the circle = E|t1| = 2/pi
-    expected, _ = quad(lambda t: abs(math.cos(t)) / (2 * math.pi), 0.0, 2 * math.pi)
-    assert expected == pytest.approx(2 / math.pi)
-    body = make_body("cube", 2)
-    est = p_mean_width(lambda theta: support(body, theta), 2, 1.0, 20000, key.child(13))
-    assert abs(est.value - expected) <= 3 * est.stderr
-
-
-def test_p_mean_width_holder_and_errors(key):
-    body = make_body("cross", 4)
-    w_neg = p_mean_width(lambda t: support(body, t), 4, -2.0, 4000, key.child(14))
-    w_pos = p_mean_width(lambda t: support(body, t), 4, 2.0, 4000, key.child(15))
-    assert w_neg.value <= w_pos.value + 3 * math.hypot(w_neg.stderr, w_pos.stderr)
-    with pytest.raises(ValueError):
-        p_mean_width(lambda t: 1.0, 4, 0.0, 100, key.child(16))
-    with pytest.raises(ValueError, match="degenerate"):
-        p_mean_width(lambda t: 0.0, 4, -1.0, 100, key.child(17))
-
-
-def test_zq_support_values(key):
-    # q = 2 recovers L_K in every direction; cube q = 1 along e1 is 1/4
-    for kind in ("cube", "ball"):
-        body = make_body(kind, 5)
-        theta = np.eye(5)[0]
-        est = zq_support(body, 2.0, theta, 200000, key.child(18))
-        assert abs(est.value - isotropic_constant(body)) <= 3 * est.stderr
-    cube = make_body("cube", 3)
-    expected, _ = quad(lambda t: abs(t), -0.5, 0.5)
-    est = zq_support(cube, 1.0, np.eye(3)[0], 200000, key.child(19))
-    assert abs(est.value - expected) <= 3 * est.stderr
-    est = zq_support(cube, 4.0, np.eye(3)[0], 100000, key.child(20))
-    assert est.value <= support(cube, np.eye(3)[0]) + 3 * est.stderr
-    with pytest.raises(ValueError):
-        zq_support(cube, 0.5, np.eye(3)[0], 1000, key.child(21))
 
 
 def test_positive_moment_table(key):

@@ -4,7 +4,6 @@ import pytest
 from polyradii.estimates import Estimate, mean_and_stderr, power_estimate
 from polyradii.streams import (
     StreamKey,
-    derive_stream,
     standard_exponential,
     standard_normal,
     uniform,
@@ -13,13 +12,13 @@ from polyradii.streams import (
 
 def test_derive_appends_index():
     parent = StreamKey(7)
-    assert derive_stream(parent, 0) == StreamKey(7, (0,))
+    assert parent.child(0) == StreamKey(7, (0,))
     assert parent.child(3).child(1) == StreamKey(7, (3, 1))
 
 
 def test_derivation_is_pure():
     parent = StreamKey(42, (5,))
-    assert derive_stream(parent, 0) == derive_stream(parent, 0)
+    assert parent.child(0) == parent.child(0)
     assert parent == StreamKey(42, (5,))
 
 
@@ -66,35 +65,35 @@ def test_exponential_mean():
     assert e.min() > 0.0
 
 
-def test_mean_and_stderr_basics(key):
-    est = mean_and_stderr([1.0, 1.0, 1.0], key)
+def test_mean_and_stderr_basics():
+    est = mean_and_stderr([1.0, 1.0, 1.0])
     assert est.value == 1.0 and est.stderr == 0.0 and est.samples == 3
-    est = mean_and_stderr([0.0, 2.0], key)
+    est = mean_and_stderr([0.0, 2.0])
     assert est.value == 1.0
     assert est.stderr == pytest.approx(1.0)  # s = sqrt(2), stderr = s / sqrt(2)
     with pytest.raises(ValueError, match="empty sample"):
-        mean_and_stderr([], key)
+        mean_and_stderr([])
 
 
 def test_mean_reduction_fixed_order(key):
     # Reduction happens over the array as given; identical input, identical bits.
     xs = standard_normal(key, 10001)
-    a = mean_and_stderr(xs, key)
-    b = mean_and_stderr(xs, key)
+    a = mean_and_stderr(xs)
+    b = mean_and_stderr(xs)
     assert (a.value, a.stderr) == (b.value, b.stderr)
 
 
-def test_estimate_invariants(key):
+def test_estimate_invariants():
     with pytest.raises(ValueError):
-        Estimate(1.0, -1e-9, 10, key)
+        Estimate(1.0, -1e-9, 10)
     with pytest.raises(ValueError):
-        Estimate(1.0, 0.0, 0, key)
+        Estimate(1.0, 0.0, 0)
 
 
-def test_power_estimate_delta_method(key):
-    est = Estimate(4.0, 0.1, 100, key)
+def test_power_estimate_delta_method():
+    est = Estimate(4.0, 0.1, 100)
     rooted = power_estimate(est, 0.5)
     assert rooted.value == 2.0
     assert rooted.stderr == pytest.approx(0.5 * 4.0**-0.5 * 0.1)
     with pytest.raises(ValueError):
-        power_estimate(Estimate(-1.0, 0.1, 10, key), 0.5)
+        power_estimate(Estimate(-1.0, 0.1, 10), 0.5)

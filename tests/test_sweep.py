@@ -1,6 +1,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from polyradii.sweep import (
     regime_flag,
     rows_to_csv,
     run_sweep,
-    band_probability_report,
     gaussian_oracle_report,
     write_csv,
 )
@@ -51,19 +51,14 @@ def test_config_validation():
                        ("k_list", [True]), ("k_list", "1")]:
         with pytest.raises(ValueError, match="lists of integers"):
             config_from_dict({**base, key: value})
-    for value in ("1", None, [1.0]):
-        with pytest.raises(ValueError, match="s must be a number"):
-            config_from_dict({**base, "s": value})
-    for value in (0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="s must be positive"):
-            config_from_dict({**base, "s": value})
+    with pytest.raises(ValueError, match="unknown config keys: s"):
+        config_from_dict({**base, "s": 2})
     with pytest.raises(ValueError, match="out must be a path"):
         config_from_dict({**base, "out": 5})
     with pytest.raises(ValueError, match="JSON object"):
         config_from_dict([base])
     with pytest.raises(ValueError, match="missing config keys: k_list, n"):
         config_from_dict({"body": "cube", "N_list": [8]})
-    assert config_from_dict({**base, "s": 2}).s == 2
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -139,17 +134,6 @@ def test_csv_float_precision(tmp_path):
     text = rows_to_csv(rows)
     assert "0.33333333333333331" in text
     assert text.startswith(",".join(CSV_COLUMNS))
-
-
-def test_band_probability_report():
-    cfg = SweepConfig(body="ball", n=4, N_list=[16], k_list=[1, 2, 4], M=16, R=50)
-    report = band_probability_report(cfg, band=(0.0, 10.0))
-    assert all(row.fraction_in_band == 1.0 for row in report)
-    assert all(row.prob_floor == pytest.approx(1 - 1 / 16) for row in report)
-    absurd = band_probability_report(cfg, band=(10.0, 11.0))
-    assert all(row.fraction_in_band == 0.0 for row in absurd)
-    with pytest.raises(ValueError, match="R >= 50"):
-        band_probability_report(SweepConfig(body="ball", n=4, N_list=[16], k_list=[1], R=5))
 
 
 def test_gaussian_oracle_report():
@@ -325,6 +309,19 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert not out.exists()
     # a negative MC replica count is an error, not the oracle-only table
     assert cli.main(["gaussian", "--k", "2", "--N", "100", "--M", "-3"]) == 1
+    # gaussian validates M, every k and every N before the first row is computed
+    assert cli.main(["gaussian", "--k", "2", "--N", "100", "--M", "1"]) == 1
+    assert "M must be 0 (oracle only) or >= 2, got M=1" in capsys.readouterr().err
+    assert cli.main(["gaussian", "--k", "1,8", "--N", "10", "--n", "4"]) == 1
+    assert "k=8 outside 1..n for n=4" in capsys.readouterr().err
+    assert cli.main(["gaussian", "--k", "1", "--N", "100,0"]) == 1
+    assert "N=0 must be >= 1" in capsys.readouterr().err
+    # the check suite needs n >= 5 and says so before any check runs
+    for n in (3, 4):
+        small = {"body": "cube", "n": n, "N_list": [16], "k_list": [1], "M": 8, "R": 1, "m": 1000}
+        cfg_path.write_text(json.dumps(small))
+        assert cli.main(["check", "--config", str(cfg_path), "--q", "1"]) == 1
+        assert f"check needs n >= 5, got n={n}" in capsys.readouterr().err
     # check --q outside the suite's range fails before any check runs
     for bad in ("8", "0"):
         assert cli.main(["check", "--q", bad]) == 1
@@ -357,3 +354,12 @@ def test_cli_check_exit_codes(monkeypatch, capsys):
 def test_default_check_config_is_valid():
     cfg = default_check_config()
     assert cfg.body == "cube" and cfg.n == 16
+
+
+def test_readme_config_example_parses():
+    # the README's config block, with its // comments stripped, is a valid config
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A sweep config is", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    text = "\n".join(line.split("//", 1)[0] for line in block.splitlines())
+    cfg = config_from_dict(json.loads(text))
+    assert cfg.body == "cube" and cfg.n == 100
