@@ -24,6 +24,7 @@ from .gaussian import (
     tail_sandwich_check,
 )
 from .grassmann import (
+    haar_frames,
     haar_subspace,
     sphere_marginal_moment,
     sphere_points,

@@ -2,24 +2,40 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtri
 
-from .streams import StreamKey, standard_normal
+from .streams import StreamKey, standard_normal, uniform
 
 
-def haar_subspace(n: int, k: int, key: StreamKey) -> np.ndarray:
-    """Orthonormal (n, k) frame of a Haar-distributed k-dimensional subspace of R^n.
+def haar_frames(n: int, k: int, keys: Sequence[StreamKey]) -> np.ndarray:
+    """(len(keys), n, k) stack of orthonormal frames of Haar-distributed
+    k-dimensional subspaces of R^n; frame i is drawn from keys[i] alone.
 
-    Sign-fixed QR, diag(R) > 0: deterministic and Haar-correct.  With k = n it
-    is a nested flag: every prefix of k columns is Haar on G_{n,k}.
+    Sign-fixed QR, diag(R) > 0: deterministic and Haar-correct.  With k = n
+    each frame is a nested flag: every prefix of k columns is Haar on G_{n,k}.
+    Each key makes its own uniform draw; one inverse-normal transform and one
+    batched QR then cover the whole stack, so frame i has the same bits
+    whatever the other keys are.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    g = standard_normal(key, n * k).reshape(n, k)
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.diagonal(r))
-    return q * np.where(d == 0.0, 1.0, d)
+    g = np.empty((len(keys), n * k))
+    for row, key in zip(g, keys):
+        row[:] = uniform(key, n * k)
+    ndtri(g, out=g)  # streams.standard_normal, applied to the whole stack
+    q, r = np.linalg.qr(g.reshape(len(keys), n, k))
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    q *= np.where(d == 0.0, 1.0, d)[:, None, :]
+    return q
+
+
+def haar_subspace(n: int, k: int, key: StreamKey) -> np.ndarray:
+    """One (n, k) Haar frame, haar_frames(n, k, [key])[0], for loops that use
+    each frame as soon as it is drawn."""
+    return haar_frames(n, k, [key])[0]
 
 
 def sphere_points(n: int, count: int, key: StreamKey) -> np.ndarray:

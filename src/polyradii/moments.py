@@ -14,7 +14,7 @@ import numpy as np
 
 from .bodies import Body, isotropic_constant, sample_points
 from .estimates import Estimate, mean_and_stderr, power_estimate, scale_estimate
-from .grassmann import haar_subspace, sphere_marginal_moment, sphere_points
+from .grassmann import haar_frames, haar_subspace, sphere_marginal_moment, sphere_points
 from .radii import projected_sq_norms
 from .streams import StreamKey
 
@@ -75,9 +75,9 @@ def grassmann_moment_avg(
     if M < _MIN_SAMPLES or m < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} subspaces and samples")
     pts = sample_points(body, m, key.child(0))
+    frames = haar_frames(n, k, [key.child(1).child(i) for i in range(M)])
     powers = np.empty((M, m))
-    for i in range(M):
-        frame = haar_subspace(n, k, key.child(1).child(i))
+    for i, frame in enumerate(frames):
         powers[i] = np.sqrt(projected_sq_norms(pts, frame, [k])[:, 0]) ** q
     total = float(np.mean(powers))
     per_subspace = np.mean(powers, axis=1)

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import Estimate, mean_and_stderr
-from .grassmann import haar_subspace, sphere_points
+from .grassmann import haar_frames, sphere_points
 from .streams import StreamKey
+
+_BLOCK = 1 << 16  # bound on B * max(N, n) * kmax for a block of B flags, in float64s
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +61,16 @@ def outer_radius_points(cloud: PointCloud) -> float:
     return float(np.max(np.linalg.norm(cloud.points, axis=1)))
 
 
-def projected_sq_norms(points: np.ndarray, frame: np.ndarray, ks) -> np.ndarray:
+def projected_sq_norms(points: np.ndarray, frames: np.ndarray, ks) -> np.ndarray:
     """(N, len(ks)) squared norms of the points projected onto the first k frame
     columns, for each k of the increasing ``ks``.  Squares are summed by segment
     and the segments accumulated, so every row is nondecreasing in k exactly.
+    ``frames`` is one (n, k) frame or a (B, n, k) stack, which gives a
+    (B, N, len(ks)) result whose slice b equals the result for frames[b] alone.
     """
-    sq = (points @ frame[:, : ks[-1]]) ** 2
-    return np.cumsum(np.add.reduceat(sq, [0, *ks[:-1]], axis=1), axis=1)
+    sq = points @ frames[..., : ks[-1]]
+    np.square(sq, out=sq)
+    return np.cumsum(np.add.reduceat(sq, [0, *ks[:-1]], axis=-1), axis=-1)
 
 
 def radius_profile(
@@ -73,26 +78,34 @@ def radius_profile(
 ) -> RadiusProfile:
     """Monte Carlo k-th mean outer radii from M Haar flags, monotone in k pathwise.
 
-    Flag i is haar_subspace(n, max(ks), key.child(i)), as wide as the largest
-    requested k; its first k columns are a Haar k-frame, so each per-k column
-    averages max_j |P_F X_j| over M Haar subspaces F.  The squared projected
-    norms come from projected_sq_norms, so the per-point radii never decrease
-    with k and neither does their max or the flag average.  ``ks`` restricts
-    the grid (default: every k = 1..n).
+    Flag i is the haar_frames frame drawn from key.child(i), as wide as the
+    largest requested k; its first k columns are a Haar k-frame, so each
+    per-k column averages max_j |P_F X_j| over M Haar subspaces F.  The squared
+    projected norms come from projected_sq_norms, so the per-point radii never
+    decrease with k and neither does their max or the flag average.  Flags are
+    drawn and projected in blocks whose frames and projections each hold at
+    most _BLOCK floats (one flag per block when a single flag needs more);
+    every flag gets the same bits at any block size.  ``ks`` restricts the grid
+    (default: every k = 1..n).
     """
     n = cloud.dim
     if ks is None:
         ks = np.arange(1, n + 1)
     ks = np.asarray(ks, dtype=int)
-    if ks.size == 0 or np.any(ks < 1) or np.any(ks > n) or np.any(np.diff(ks) <= 0):
+    outside = ks[(ks < 1) | (ks > n)]
+    if outside.size:
+        raise ValueError(f"k={outside[0]} outside 1..{n}")
+    if ks.size == 0 or np.any(np.diff(ks) <= 0):
         raise ValueError(f"k values must be strictly increasing within 1..{n}")
     if M < 2:
         raise ValueError("need at least 2 flags")
     kmax = int(ks[-1])
+    block = max(1, min(M, _BLOCK // (max(cloud.size, n) * kmax)))
     per_flag = np.empty((M, ks.size))
-    for i in range(M):
-        sq = projected_sq_norms(cloud.points, haar_subspace(n, kmax, key.child(i)), ks)
-        per_flag[i] = np.sqrt(np.max(sq, axis=0))
+    for start in range(0, M, block):
+        keys = [key.child(i) for i in range(start, min(start + block, M))]
+        sq = projected_sq_norms(cloud.points, haar_frames(n, kmax, keys), ks)
+        per_flag[start : start + len(keys)] = np.sqrt(np.max(sq, axis=-2))
     values = np.mean(per_flag, axis=0)
     stderrs = np.std(per_flag, axis=0, ddof=1) / np.sqrt(M)
     return RadiusProfile(ks, values, stderrs, M)

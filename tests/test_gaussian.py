@@ -14,7 +14,7 @@ from polyradii.gaussian import (
     projected_max_mc,
     tail_integral,
 )
-from polyradii.grassmann import haar_subspace
+from polyradii.grassmann import haar_frames
 from polyradii.radii import radius_profile
 from polyradii.sweep import GAUSSIAN_RATIO_BAND, GAUSSIAN_RATIO_CALIBRATION
 
@@ -123,7 +123,7 @@ def test_projected_gaussian_is_chi(key):
     # rotation invariance: |P_F X| follows the chi distribution in dim k
     cloud = gaussian_cloud(9, 4000, key.child(2))
     for k in (1, 3):
-        F = haar_subspace(9, k, key.child(3).child(k))
+        F = haar_frames(9, k, [key.child(3).child(k)])[0]
         nrm = np.linalg.norm(cloud.points @ F, axis=1)
         assert kstest(nrm, lambda t: chi_cdf(k, t)).pvalue > 0.01
 

@@ -5,22 +5,44 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from polyradii.grassmann import haar_subspace, sphere_marginal_moment, sphere_points
+from polyradii.grassmann import haar_frames, haar_subspace, sphere_marginal_moment, sphere_points
 from polyradii.streams import standard_normal
+
+
+def _reference_frame(n, k, key):
+    """One frame on its own: a normal draw, one QR and the sign fix.  Every
+    frame of a haar_frames stack must have exactly these bits."""
+    g = standard_normal(key, n * k).reshape(n, k)
+    q, r = np.linalg.qr(g)
+    d = np.sign(np.diagonal(r))
+    return q * np.where(d == 0.0, 1.0, d)
+
+
+@pytest.mark.parametrize("n,k", [(16, 16), (64, 32), (64, 64), (100, 50), (100, 100),
+                                 (1, 1), (2, 1), (16, 1), (100, 1)])
+@pytest.mark.parametrize("M", [1, 7])
+def test_stacked_frames_equal_the_reference_loop(key, n, k, M):
+    keys = [key.child(40).child(n).child(k).child(i) for i in range(M)]
+    frames = haar_frames(n, k, keys)
+    assert frames.shape == (M, n, k)
+    for frame, frame_key in zip(frames, keys):
+        reference = _reference_frame(n, k, frame_key)
+        assert np.array_equal(frame, reference)
+        assert np.array_equal(haar_subspace(n, k, frame_key), reference)
 
 
 def test_subspace_orthonormality(key):
     for i, (n, k) in enumerate([(3, 1), (5, 3), (8, 8)]):
-        frame = haar_subspace(n, k, key.child(i))
+        frame = haar_frames(n, k, [key.child(i)])[0]
         assert np.max(np.abs(frame.T @ frame - np.eye(k))) < 1e-10
     with pytest.raises(ValueError):
-        haar_subspace(3, 4, key)
+        haar_frames(3, 4, [key])[0]
     with pytest.raises(ValueError):
-        haar_subspace(3, 0, key)
+        haar_frames(3, 0, [key])[0]
 
 
 def test_full_subspace_preserves_norms(key):
-    F = haar_subspace(6, 6, key.child(1))
+    F = haar_frames(6, 6, [key.child(1)])[0]
     x = standard_normal(key.child(2), 6)
     assert np.linalg.norm(x @ F) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
@@ -31,7 +53,7 @@ def test_projection_examples():
 
 
 def test_projection_contracts(key):
-    F = haar_subspace(7, 3, key.child(3))
+    F = haar_frames(7, 3, [key.child(3)])[0]
     xs = standard_normal(key.child(4), 70).reshape(10, 7)
     assert np.all(
         np.linalg.norm(xs @ F, axis=1) <= np.linalg.norm(xs, axis=1) + 1e-12
@@ -43,7 +65,7 @@ def test_projected_squared_norm_mean(key):
     x = np.eye(2)[0]
     vals = np.empty(10**5)
     for i in range(vals.size):
-        F = haar_subspace(2, 1, key.child(5).child(i))
+        F = haar_frames(2, 1, [key.child(5).child(i)])[0]
         vals[i] = np.sum((x @ F) ** 2)
     stderr = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - 0.5) <= 3 * stderr
@@ -51,7 +73,7 @@ def test_projected_squared_norm_mean(key):
     x = sphere_points(10, 1, key.child(6))[0]
     vals = np.empty(3 * 10**4)
     for i in range(vals.size):
-        F = haar_subspace(10, 3, key.child(7).child(i))
+        F = haar_frames(10, 3, [key.child(7).child(i)])[0]
         vals[i] = np.sum((x @ F) ** 2)
     stderr = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - 0.3) <= 3 * stderr
@@ -63,7 +85,7 @@ def test_projected_moment_identity(key):
     x = sphere_points(n, 1, key.child(8))[0] * 2.0
     norms = np.empty(2 * 10**4)
     for i in range(norms.size):
-        F = haar_subspace(n, k, key.child(9).child(i))
+        F = haar_frames(n, k, [key.child(9).child(i)])[0]
         norms[i] = np.linalg.norm(x @ F)
     for q in (1.5, 3.0):
         target = (
@@ -77,7 +99,7 @@ def test_projected_moment_identity(key):
 
 
 def test_flag_prefixes(key):
-    frame = haar_subspace(7, 7, key.child(10))
+    frame = haar_frames(7, 7, [key.child(10)])[0]
     for k in (1, 3, 7):
         F = frame[:, :k]
         assert F.shape[1] == k
@@ -85,7 +107,7 @@ def test_flag_prefixes(key):
 
 
 def test_flag_projections_monotone(key):
-    frame = haar_subspace(6, 6, key.child(11))
+    frame = haar_frames(6, 6, [key.child(11)])[0]
     xs = standard_normal(key.child(12), 60).reshape(10, 6)
     prev = np.zeros(10)
     for k in range(1, 7):
@@ -101,9 +123,9 @@ def test_flag_prefix_matches_haar_subspace(key):
     a = np.empty(reps)
     b = np.empty(reps)
     for i in range(reps):
-        prefix = haar_subspace(n, n, key.child(13).child(i))[:, :1]
+        prefix = haar_frames(n, n, [key.child(13).child(i)])[0][:, :1]
         a[i] = np.linalg.norm(e1 @ prefix)
-        b[i] = np.linalg.norm(e1 @ haar_subspace(n, 1, key.child(14).child(i)))
+        b[i] = np.linalg.norm(e1 @ haar_frames(n, 1, [key.child(14).child(i)])[0])
     assert ks_2samp(a, b).pvalue > 0.01
 
 
@@ -111,13 +133,13 @@ def test_haar_rotation_invariance(key):
     # |P_F (U x)| and |P_F x| agree in distribution for a fixed rotation U
     n, k_dim, reps = 6, 2, 10**4
     x = sphere_points(n, 1, key.child(15))[0]
-    u_mat = haar_subspace(n, n, key.child(16))
+    u_mat = haar_frames(n, n, [key.child(16)])[0]
     a = np.empty(reps)
     b = np.empty(reps)
     for i in range(reps):
-        F = haar_subspace(n, k_dim, key.child(17).child(i))
+        F = haar_frames(n, k_dim, [key.child(17).child(i)])[0]
         a[i] = np.linalg.norm(x @ F)
-        F = haar_subspace(n, k_dim, key.child(18).child(i))
+        F = haar_frames(n, k_dim, [key.child(18).child(i)])[0]
         b[i] = np.linalg.norm((u_mat @ x) @ F)
     assert ks_2samp(a, b).pvalue > 0.01
 
@@ -160,6 +182,6 @@ def test_marginal_moment_against_mc(key):
 
 
 def test_orientation_fix_is_deterministic(key):
-    a = haar_subspace(5, 5, key.child(22))
-    b = haar_subspace(5, 5, key.child(22))
+    a = haar_frames(5, 5, [key.child(22)])[0]
+    b = haar_frames(5, 5, [key.child(22)])[0]
     assert a.tobytes() == b.tobytes()

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from polyradii.bodies import make_body, sample
-from polyradii.grassmann import haar_subspace
+from polyradii.grassmann import haar_frames
+from polyradii import radii
 from polyradii.radii import (
     PointCloud,
     mean_width,
@@ -55,7 +56,7 @@ def test_projected_sq_norms_monotone_and_complete(key):
         np.linspace(-0.3, 0.3, 7)[:, None] * np.ones(n) / math.sqrt(n),
     ]
     for i, pts in enumerate(clouds):
-        frame = haar_subspace(n, n, key.child(31).child(i))
+        frame = haar_frames(n, n, [key.child(31).child(i)])[0]
         for ks in (np.arange(1, n + 1), np.array([1, 4, 8, 16]), [5]):
             sq = projected_sq_norms(pts, frame, ks)
             assert sq.shape == (pts.shape[0], len(ks))
@@ -68,7 +69,7 @@ def test_projection_contraction(key):
     pts = standard_normal(key.child(2), 100).reshape(20, 5)
     cloud = _cloud(pts)
     for i in range(10):
-        F = haar_subspace(5, 2, key.child(3).child(i))
+        F = haar_frames(5, 2, [key.child(3).child(i)])[0]
         assert _projected_radius(cloud, F) <= outer_radius_points(cloud) + 1e-12
 
 
@@ -126,6 +127,15 @@ def test_profile_endpoint_and_subset(key):
         radius_profile(cloud, 8, key.child(12), ks=np.array([0, 2]))
 
 
+def test_profile_k_errors_name_the_problem(key):
+    cloud = _cloud(standard_normal(key.child(36), 40).reshape(10, 4))
+    for ks, message in (([5], "k=5 outside 1..4"), ([0, 2], "k=0 outside 1..4"),
+                        ([3, 3], "strictly increasing within 1..4"),
+                        ([3, 2], "strictly increasing within 1..4")):
+        with pytest.raises(ValueError, match=message):
+            radius_profile(cloud, 8, key.child(37), ks)
+
+
 def test_profile_flat_for_dense_ball(key):
     body = make_body("ball", 3)
     cloud = sample(body, 20000, key.child(13))
@@ -146,7 +156,7 @@ def test_profile_marginal_matches_mean_outer_radius(key):
 
 
 def test_profile_flags_are_as_wide_as_the_largest_k(key):
-    # flag i is haar_subspace(n, max(ks), key.child(i)); a one-k profile is the
+    # flag i is haar_frames(n, max(ks), [key.child(i)])[0]; a one-k profile is the
     # plain Monte Carlo mean over (n, k) Haar frames, bit for bit
     n, M = 7, 16
     pts = standard_normal(key.child(32), 30 * n).reshape(30, n)
@@ -155,7 +165,7 @@ def test_profile_flags_are_as_wide_as_the_largest_k(key):
     def per_flag_radii(width, ks):
         radii = np.empty((M, len(ks)))
         for i in range(M):
-            frame = haar_subspace(n, width, key.child(i))
+            frame = haar_frames(n, width, [key.child(i)])[0]
             radii[i] = np.sqrt(np.max(projected_sq_norms(pts, frame, ks), axis=0))
         return radii
 
@@ -164,6 +174,53 @@ def test_profile_flags_are_as_wide_as_the_largest_k(key):
         assert radius_profile(cloud, M, key, [k]).estimate(k).value == expected
     sub = radius_profile(cloud, M, key, ks=[2, 5])
     assert np.array_equal(sub.values, np.mean(per_flag_radii(5, [2, 5]), axis=0))
+
+
+def _reference_profile(cloud, M, key, ks):
+    """radius_profile one flag at a time, each flag drawn and projected alone;
+    the blocked loop must give exactly these bits."""
+    n = cloud.dim
+    per_flag = np.empty((M, len(ks)))
+    for i in range(M):
+        frame = haar_frames(n, int(ks[-1]), [key.child(i)])[0]
+        per_flag[i] = np.sqrt(np.max(projected_sq_norms(cloud.points, frame, ks), axis=0))
+    return np.mean(per_flag, axis=0), np.std(per_flag, axis=0, ddof=1) / np.sqrt(M)
+
+
+@pytest.mark.parametrize("block", [1 << 12, 1 << 16, 1 << 20])
+def test_blocked_profile_equals_the_reference_loop(key, monkeypatch, block):
+    monkeypatch.setattr(radii, "_BLOCK", block)
+    sizes = []
+
+    def recording_frames(n, k, keys):
+        sizes.append(len(keys))
+        return haar_frames(n, k, keys)
+
+    monkeypatch.setattr(radii, "haar_frames", recording_frames)
+    n, seen = 8, set()
+    clouds = [
+        sample(make_body("cube", n), 1000, key.child(33)),
+        _cloud(np.full((1, n), 0.3)),  # N = 1
+        _cloud(np.linspace(-1, 1, 9)[:, None] * np.ones(n)),  # collinear
+        sample(make_body("simplex", n), 9000, key.child(34)),  # N * n > 2^16
+    ]
+    for c, cloud in enumerate(clouds):
+        for ks in (None, [1], [n], [2, 3, 7]):
+            for M in (2, 5, 20):
+                sizes.clear()
+                prof = radius_profile(cloud, M, key.child(35).child(c).child(M), ks)
+                values, stderrs = _reference_profile(
+                    cloud, M, key.child(35).child(c).child(M), prof.ks)
+                assert np.array_equal(prof.values, values)
+                assert np.array_equal(prof.stderrs, stderrs)
+                kmax = int(prof.ks[-1])
+                B = max(1, min(M, block // (max(cloud.size, n) * kmax)))
+                assert sizes == [B] * (M // B) + ([M % B] if M % B else [])
+                seen.update({"several" if B > 1 else "one flag per block",
+                             "ragged" if M % B else "even"})
+    # the 9000-point cloud needs more than 2^16 floats per flag
+    single = {"one flag per block"} if block <= 1 << 16 else set()
+    assert seen == {"several", "ragged", "even"} | single
 
 
 def test_profile_estimate_lookup(key):
@@ -196,7 +253,7 @@ def test_mean_width_agrees_with_k1_radius(key):
 def test_rotation_equivariance_distribution(key):
     # a fixed rotation of the cloud leaves the estimator's law unchanged
     pts = standard_normal(key.child(26), 90).reshape(30, 3)
-    u_mat = haar_subspace(3, 3, key.child(27))
+    u_mat = haar_frames(3, 3, [key.child(27)])[0]
     a = np.empty(200)
     b = np.empty(200)
     for i in range(200):

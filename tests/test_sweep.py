@@ -322,6 +322,10 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
         cfg_path.write_text(json.dumps(small))
         assert cli.main(["check", "--config", str(cfg_path), "--q", "1"]) == 1
         assert f"check needs n >= 5, got n={n}" in capsys.readouterr().err
+    # estimate names an out-of-range k and the range it must lie in
+    for bad in ("5", "0"):
+        assert cli.main(["estimate", "--body", "cube", "--n", "4", "--N", "10", "--k", bad]) == 1
+        assert f"k={bad} outside 1..4" in capsys.readouterr().err
     # check --q outside the suite's range fails before any check runs
     for bad in ("8", "0"):
         assert cli.main(["check", "--q", bad]) == 1
