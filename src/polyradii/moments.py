@@ -18,7 +18,7 @@ from .grassmann import haar_frames, haar_subspace, sphere_marginal_moment, spher
 from .radii import projected_sq_norms
 from .streams import StreamKey
 
-_MIN_SAMPLES = 100
+MIN_SAMPLES = 100  # fewest points (and subspaces) a moment estimate takes
 _DIRECTIONS = 64  # directions inside F per -q mean width
 
 
@@ -26,8 +26,8 @@ def moment(body: Body, q: float, m: int, key: StreamKey) -> Estimate:
     """I_q(K) = (mean of |X|^q)^(1/q) with delta-method stderr."""
     if q == 0 or (q < 0 and -q >= (body.dim - 1) / 2.0):
         raise ValueError("variance-unsafe exponent")
-    if m < _MIN_SAMPLES:
-        raise ValueError(f"need at least {_MIN_SAMPLES} samples")
+    if m < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     r = np.linalg.norm(sample_points(body, m, key.child(0)), axis=1)
     return power_estimate(mean_and_stderr(r**q), 1.0 / q)
 
@@ -72,8 +72,8 @@ def grassmann_moment_avg(
         raise ValueError("need 1 <= k <= n")
     if q < 1:
         raise ValueError("Grassmannian moment average needs q >= 1")
-    if M < _MIN_SAMPLES or m < _MIN_SAMPLES:
-        raise ValueError(f"need at least {_MIN_SAMPLES} subspaces and samples")
+    if M < MIN_SAMPLES or m < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} subspaces and samples")
     pts = sample_points(body, m, key.child(0))
     frames = haar_frames(n, k, [key.child(1).child(i) for i in range(M)])
     powers = np.empty((M, m))
@@ -177,7 +177,7 @@ def centroid_width_check(
         raise ValueError("proposition hypothesis violated")
     if q >= (k - 1) / 2.0:
         raise ValueError("variance-unsafe exponent")
-    if M < 2 or m < _MIN_SAMPLES:
+    if M < 2 or m < MIN_SAMPLES:
         raise ValueError("insufficient sample counts")
     pts = sample_points(body, m, key.child(0))
     lhs = np.empty(M)

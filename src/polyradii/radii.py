@@ -15,6 +15,10 @@ from .grassmann import haar_frames, sphere_points
 from .streams import StreamKey
 
 _BLOCK = 1 << 16  # bound on B * max(N, n) * kmax for a block of B flags, in float64s
+# np.add.reduceat sums a segment as its first element plus numpy's pairwise sum
+# of the rest, and pairwise summation adds fewer than 8 terms left to right: a
+# fact about numpy, not a tuning knob.
+_PAIRWISE_LINEAR = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,10 +71,31 @@ def projected_sq_norms(points: np.ndarray, frames: np.ndarray, ks) -> np.ndarray
     and the segments accumulated, so every row is nondecreasing in k exactly.
     ``frames`` is one (n, k) frame or a (B, n, k) stack, which gives a
     (B, N, len(ks)) result whose slice b equals the result for frames[b] alone.
+
+    The sums have the bits of np.cumsum(np.add.reduceat(sq, [0, *ks[:-1]])):
+    segments of at most _PAIRWISE_LINEAR columns are summed as column adds in
+    reduceat's order (the first column plus the rest added left to right),
+    longer ones by reduceat itself, and the prefix sums are column adds.
     """
     sq = points @ frames[..., : ks[-1]]
     np.square(sq, out=sq)
-    return np.cumsum(np.add.reduceat(sq, [0, *ks[:-1]], axis=-1), axis=-1)
+    bounds = [0, *ks]
+    segments = list(zip(bounds[:-1], bounds[1:]))
+    if max(hi - lo for lo, hi in segments) > _PAIRWISE_LINEAR:
+        out = np.add.reduceat(sq, bounds[:-1], axis=-1)
+    else:
+        out = np.empty(sq.shape[:-1] + (len(ks),))
+        for j, (lo, hi) in enumerate(segments):
+            if hi - lo == 1:
+                out[..., j] = sq[..., lo]
+            else:
+                rest = sq[..., lo + 1]  # a view: sq is this call's own temporary
+                for c in range(lo + 2, hi):
+                    rest += sq[..., c]
+                np.add(sq[..., lo], rest, out=out[..., j])
+    for j in range(1, len(ks)):
+        out[..., j] += out[..., j - 1]
+    return out
 
 
 def radius_profile(

@@ -20,6 +20,7 @@ import numpy as np
 from .bodies import KINDS, Body, isotropic_constant, make_body, sample
 from .gaussian import expected_max_chi, projected_max_mc, tail_sandwich_check
 from .moments import (
+    MIN_SAMPLES,
     centroid_width_check,
     grassmann_moment_avg,
     moment,
@@ -77,6 +78,10 @@ class SweepConfig:
             raise ValueError("n must be >= 1")
         if not self.N_list or not self.k_list:
             raise ValueError("N_list and k_list must be nonempty")
+        for name, values in (("N_list", self.N_list), ("k_list", self.k_list)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} repeats {value}")
         if any(k < 1 or k > self.n for k in self.k_list):
             raise ValueError("k_list entries must lie in 1..n")
         if any(N < self.n for N in self.N_list):
@@ -138,7 +143,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     body = make_body(config.body, config.n)
     L = isotropic_constant(body)
     root = StreamKey(config.seed)
-    ks = sorted(set(config.k_list))
+    ks = sorted(config.k_list)
     rows = []
     for i, N in enumerate(config.N_list):
         profs = [
@@ -381,6 +386,8 @@ def consistency_checks(config: SweepConfig | None = None, q: int = 2) -> list[Ch
     q_max = (config.n - 2) // 2
     if not 1 <= q <= q_max:
         raise ValueError(f"check needs 1 <= q <= {q_max} for n={config.n}, got q={q}")
+    if config.m < MIN_SAMPLES:
+        raise ValueError(f"check needs m >= {MIN_SAMPLES}, got m={config.m}")
     body = make_body(config.body, config.n)
     root = StreamKey(config.seed)
     results = [

@@ -15,7 +15,7 @@ from polyradii.radii import (
     projected_sq_norms,
     radius_profile,
 )
-from polyradii.streams import standard_normal
+from polyradii.streams import generator, standard_normal, uniform
 
 
 def _cloud(points):
@@ -63,6 +63,52 @@ def test_projected_sq_norms_monotone_and_complete(key):
             assert np.all(np.diff(sq, axis=1) >= 0.0)
         full = projected_sq_norms(pts, frame, [n])[:, 0]
         np.testing.assert_allclose(full, np.sum(pts**2, axis=1), rtol=1e-12, atol=0.0)
+
+
+def _reduceat_cumsum(points, frames, ks):
+    """The kernel's reference: the same GEMM and square, then numpy's own
+    segment sums and prefix sums."""
+    sq = points @ frames[..., : ks[-1]]
+    np.square(sq, out=sq)
+    return np.cumsum(np.add.reduceat(sq, [0, *ks[:-1]], axis=-1), axis=-1)
+
+
+def test_segment_sums_match_reduceat_cumsum(key):
+    # coordinates scaled by 10^-6..10^6 and a signed permutation as the first
+    # frame spread the squares over about 1e-12..1e12, so that different
+    # summation orders round differently (asserted below); two Haar frames follow
+    n = 130
+    scales = 10.0 ** (12.0 * uniform(key.child(40), 64 * n) - 6.0)
+    perm = np.eye(n)[:, generator(key.child(41)).permutation(n)] * np.sign(
+        standard_normal(key.child(42), n))
+    frames = np.stack([perm, *haar_frames(n, n, [key.child(43), key.child(44)])])
+    clouds = [
+        standard_normal(key.child(45), 64 * n).reshape(64, n) * scales.reshape(64, n),
+        np.ones((1, n)) * 0.1,  # N = 1
+        np.linspace(-0.3, 0.3, 7)[:, None] * np.ones(n) / math.sqrt(n),  # collinear
+    ]
+    gen = generator(key.child(46))
+    grids = [[w] for w in (*range(1, 21), 129, 130)]
+    for _ in range(20):  # random increasing ks, some with segments over 8 columns
+        kmax = int(gen.integers(1, n + 1))
+        size = int(gen.integers(1, kmax + 1))
+        grids.append(sorted({kmax, *gen.choice(np.arange(1, kmax + 1), size, replace=False)}))
+    for _ in range(20):  # segments of at most 8 columns
+        ks = np.cumsum(gen.integers(1, 9, size=int(gen.integers(1, 17))))
+        grids.append([int(k) for k in ks if k <= n])
+    for pts in clouds:
+        for frame in (frames[0], frames):
+            for ks in grids:
+                got = projected_sq_norms(pts, frame, ks)
+                assert got.shape == (*frame.shape[:-2], pts.shape[0], len(ks))
+                assert np.array_equal(got, _reduceat_cumsum(pts, frame, ks)), ks
+    # plain left-to-right summation ((a0 + a1) + a2) + ... differs on this data
+    sq = np.square(clouds[0] @ frames[0])
+    for w in (*range(3, 21), 129, 130):
+        left_to_right = sq[:, 0].copy()
+        for c in range(1, w):
+            left_to_right += sq[:, c]
+        assert np.any(left_to_right != projected_sq_norms(clouds[0], frames[0], [w])[:, 0]), w
 
 
 def test_projection_contraction(key):

@@ -59,6 +59,12 @@ def test_config_validation():
         config_from_dict([base])
     with pytest.raises(ValueError, match="missing config keys: k_list, n"):
         config_from_dict({"body": "cube", "N_list": [8]})
+    # a repeated N or k would write rows with the same (N, k, replica) twice
+    for key, value, message in [("N_list", [16, 16], "N_list repeats 16"),
+                                ("k_list", [4, 4, 2], "k_list repeats 4"),
+                                ("k_list", [1, 4, 2, 4], "k_list repeats 4")]:
+        with pytest.raises(ValueError, match=message):
+            config_from_dict({**base, "n": 8, key: value})
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -330,6 +336,12 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     for bad in ("8", "0"):
         assert cli.main(["check", "--q", bad]) == 1
         assert f"check needs 1 <= q <= 7 for n=16, got q={bad}" in capsys.readouterr().err
+    # the moment checks need m >= 100 points, and check says so before any check runs
+    small_m = {"body": "cube", "n": 16, "N_list": [256], "k_list": [1], "M": 8, "R": 1, "m": 50}
+    cfg_path.write_text(json.dumps(small_m))
+    assert cli.main(["check", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert "check needs m >= 100, got m=50" in captured.err and captured.out == ""
 
 
 def test_cli_gaussian(capsys):
