@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc, gammaln
 
 from .estimates import Estimate, mean_and_stderr
@@ -46,6 +45,9 @@ def expected_max_chi(k: int, N: int) -> float:
     from the union bound N (1 - F(t)): the discarded tail is below _ABS_TOL.
     F^N is evaluated as exp(N log1p(-sf)) so huge N stays stable.
     """
+    # imported here, not at module level: it loads ~290 modules only this oracle needs
+    from scipy.integrate import quad
+
     if k < 1 or N < 1:
         raise ValueError("need k >= 1 and N >= 1")
     a = k / 2.0

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 _U64_MAX = 2**64 - 1
+_WORD_TOP = 2**53 - 2  # the largest word _words_to_unit maps below 1
 
 
 @dataclass(frozen=True)
@@ -45,16 +46,27 @@ def generator(key: StreamKey) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _words_to_unit(bits: np.ndarray) -> np.ndarray:
+    """Map 53-bit words into the open interval (0, 1) as (x + 0.5) / 2^53.
+
+    Above 2^52 the sum x + 0.5 rounds half to even, so x = 2^53 - 1 would map
+    to exactly 1.0; it is clamped (in place) to 2^53 - 2, which maps to
+    1 - 2^-52.  Every other word keeps its value.
+    """
+    np.minimum(bits, _WORD_TOP, out=bits)
+    return (bits + 0.5) * 2.0**-53
+
+
 def uniform(key: StreamKey, count: int) -> np.ndarray:
     """i.i.d. uniforms on the open interval (0, 1).
 
-    Built from 53-bit integers as (x + 0.5) / 2^53, so 0 and 1 are never
+    One 53-bit word per value (see _words_to_unit), so 0 and 1 are never
     returned and downstream transforms (log, ndtri) are safe.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     bits = generator(key).integers(0, 1 << 53, size=count, dtype=np.uint64)
-    return (bits + 0.5) * 2.0**-53
+    return _words_to_unit(bits)
 
 
 def standard_normal(key: StreamKey, count: int) -> np.ndarray:

@@ -47,6 +47,15 @@ RATIO_RANGE_CALIBRATION = (1.0150394963765172, 2.202200150871888)
 GAUSSIAN_RATIO_BAND = (0.70, 2.10)
 GAUSSIAN_RATIO_CALIBRATION = (0.7978845608028629, 1.9215180302329714)
 
+
+def _reject_repeats(**lists: list[int]) -> None:
+    """Raise on the first list that names a value twice."""
+    for name, values in lists.items():
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{name} repeats {value}")
+
+
 @dataclass
 class SweepConfig:
     """Grid description for one sweep; JSON configs use exactly these names."""
@@ -78,10 +87,7 @@ class SweepConfig:
             raise ValueError("n must be >= 1")
         if not self.N_list or not self.k_list:
             raise ValueError("N_list and k_list must be nonempty")
-        for name, values in (("N_list", self.N_list), ("k_list", self.k_list)):
-            for i, value in enumerate(values):
-                if value in values[:i]:
-                    raise ValueError(f"{name} repeats {value}")
+        _reject_repeats(N_list=self.N_list, k_list=self.k_list)
         if any(k < 1 or k > self.n for k in self.k_list):
             raise ValueError("k_list entries must lie in 1..n")
         if any(N < self.n for N in self.N_list):
@@ -235,6 +241,7 @@ def gaussian_oracle_report(
     """
     if not k_list or not N_list:
         raise ValueError("k_list and N_list must be nonempty")
+    _reject_repeats(k_list=k_list, N_list=N_list)
     if M < 0 or M == 1:
         raise ValueError(f"M must be 0 (oracle only) or >= 2, got M={M}")
     ambient = n if n is not None else max(k_list)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from polyradii.estimates import Estimate, mean_and_stderr, power_estimate
 from polyradii.streams import (
     StreamKey,
+    _words_to_unit,
     standard_exponential,
     standard_normal,
     uniform,
@@ -50,6 +52,17 @@ def test_uniform_open_interval():
     assert uniform(StreamKey(3), 0).size == 0
     with pytest.raises(ValueError):
         uniform(StreamKey(3), -1)
+
+
+def test_words_to_unit_stays_inside_open_interval():
+    words = np.array([0, 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    unclamped = (words + 0.5) * 2.0**-53
+    assert unclamped[-1] == 1.0  # x + 0.5 rounds half to even above 2^52
+    u = _words_to_unit(words.copy())
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert np.array_equal(u[:-1], unclamped[:-1])
+    assert u[-1] == u[-2] == 1.0 - 2.0**-52
+    assert np.all(np.isfinite(ndtri(u)))
 
 
 def test_normal_moments():

@@ -322,6 +322,12 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert "k=8 outside 1..n for n=4" in capsys.readouterr().err
     assert cli.main(["gaussian", "--k", "1", "--N", "100,0"]) == 1
     assert "N=0 must be >= 1" in capsys.readouterr().err
+    # a repeated k or N would print duplicate rows; it is rejected before any row
+    for k, N, message in (("8,8", "100,100", "k_list repeats 8"),
+                          ("8", "100,10,100", "N_list repeats 100")):
+        assert cli.main(["gaussian", "--k", k, "--N", N, "--M", "0"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
     # the check suite needs n >= 5 and says so before any check runs
     for n in (3, 4):
         small = {"body": "cube", "n": n, "N_list": [16], "k_list": [1], "M": 8, "R": 1, "m": 1000}
