@@ -11,7 +11,7 @@ from .bodies import (
     isotropic_constant,
     make_body,
     outer_radius_exact,
-    sample,
+    sample_points,
     support,
 )
 from .estimates import Estimate, mean_and_stderr

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .radii import PointCloud
 from .streams import StreamKey, standard_exponential, standard_normal, uniform
 
 KINDS = ("cube", "ball", "cross", "simplex")
@@ -166,8 +165,3 @@ def sample_points(body: Body, m: int, key: StreamKey) -> np.ndarray:
     e = standard_exponential(key.child(0), m * (n + 1)).reshape(m, n + 1)
     weights = e / np.sum(e, axis=1, keepdims=True)
     return weights @ body.vertices
-
-
-def sample(body: Body, m: int, key: StreamKey) -> PointCloud:
-    """m i.i.d. uniform points bundled as a PointCloud."""
-    return PointCloud(sample_points(body, m, key))

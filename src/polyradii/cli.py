@@ -10,8 +10,8 @@ import dataclasses
 import math
 import sys
 
-from .bodies import KINDS, isotropic_constant, make_body, sample
-from .radii import radius_profile
+from .bodies import KINDS, isotropic_constant, make_body, sample_points
+from .radii import PointCloud, radius_profile
 from .streams import StreamKey
 from .svgplot import emit_plot
 from .sweep import (
@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
 def _cmd_estimate(args) -> int:
     body = make_body(args.body, args.n)
     root = StreamKey(args.seed)
-    cloud = sample(body, args.N, root.child(0))
+    cloud = PointCloud(sample_points(body, args.N, root.child(0)))
     est = radius_profile(cloud, args.M, root.child(1), [args.k]).estimate(args.k)
     L = isotropic_constant(body)
     norm = normalizer(args.k, args.N, L)

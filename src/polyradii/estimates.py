@@ -9,15 +9,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo value with its standard error and sample count."""
+    """A Monte Carlo value with its standard error."""
 
     value: float
     stderr: float
-    samples: int
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
         if not self.stderr >= 0.0:
             raise ValueError("stderr must be nonnegative")
 
@@ -35,13 +32,13 @@ def mean_and_stderr(xs: np.ndarray) -> Estimate:
         raise ValueError("empty sample")
     mean = float(np.sum(xs) / n)
     if n == 1:
-        return Estimate(mean, 0.0, 1)
+        return Estimate(mean, 0.0)
     var = float(np.sum((xs - mean) ** 2) / (n - 1))
-    return Estimate(mean, np.sqrt(var / n), n)
+    return Estimate(mean, np.sqrt(var / n))
 
 
 def scale_estimate(est: Estimate, factor: float) -> Estimate:
-    return Estimate(est.value * factor, est.stderr * abs(factor), est.samples)
+    return Estimate(est.value * factor, est.stderr * abs(factor))
 
 
 def power_estimate(est: Estimate, exponent: float) -> Estimate:
@@ -53,4 +50,4 @@ def power_estimate(est: Estimate, exponent: float) -> Estimate:
         raise ValueError("power transform needs a positive estimate")
     value = est.value**exponent
     deriv = abs(exponent) * est.value ** (exponent - 1.0)
-    return Estimate(value, deriv * est.stderr, est.samples)
+    return Estimate(value, deriv * est.stderr)

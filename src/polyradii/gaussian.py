@@ -18,7 +18,7 @@ from scipy.special import gammainc, gammaincc, gammaln
 
 from .estimates import Estimate, mean_and_stderr
 from .grassmann import haar_subspace
-from .radii import PointCloud, projected_sq_norms
+from .radii import projected_sq_norms
 from .streams import StreamKey, standard_normal
 
 _ABS_TOL = 1e-9  # absolute error target of expected_max_chi
@@ -119,12 +119,11 @@ def tail_sandwich_check(k_max: int, t_grid: np.ndarray) -> list[TailSandwichRow]
     return rows
 
 
-def gaussian_cloud(n: int, N: int, key: StreamKey) -> PointCloud:
-    """N i.i.d. standard Gaussian points in R^n."""
+def gaussian_cloud(n: int, N: int, key: StreamKey) -> np.ndarray:
+    """N i.i.d. standard Gaussian points in R^n as an (N, n) array."""
     if n < 1 or N < 1:
         raise ValueError("need n >= 1 and N >= 1")
-    pts = standard_normal(key.child(0), N * n).reshape(N, n)
-    return PointCloud(pts)
+    return standard_normal(key.child(0), N * n).reshape(N, n)
 
 
 def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> Estimate:
@@ -141,7 +140,7 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
     vals = np.empty(replicas)
     for i in range(replicas):
         child = key.child(i)
-        pts = gaussian_cloud(n, N, child).points
+        pts = gaussian_cloud(n, N, child)
         frame = haar_subspace(n, k, child.child(1))
         vals[i] = np.sqrt(np.max(projected_sq_norms(pts, frame, [k])))
     return mean_and_stderr(vals)

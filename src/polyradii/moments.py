@@ -51,10 +51,6 @@ class GrassmannMomentAvg:
     reference: Estimate
     iq: Estimate
 
-    @property
-    def ratio(self) -> float:
-        return self.estimate.value / self.reference.value
-
 
 def grassmann_moment_avg(
     body: Body, k: int, q: float, M: int, m: int, key: StreamKey
@@ -83,11 +79,11 @@ def grassmann_moment_avg(
     per_subspace = np.mean(powers, axis=1)
     per_point = np.mean(powers, axis=0)
     var = np.var(per_subspace, ddof=1) / M + np.var(per_point, ddof=1) / m
-    estimate = power_estimate(Estimate(total, float(np.sqrt(var)), M * m), 1.0 / q)
+    estimate = power_estimate(Estimate(total, float(np.sqrt(var))), 1.0 / q)
 
     mratio = (sphere_marginal_moment(n, q) / sphere_marginal_moment(k, q)) ** (1.0 / q)
     if body.kind == "ball":
-        iq = Estimate(ball_moment_exact(body, q), 0.0, 1)
+        iq = Estimate(ball_moment_exact(body, q), 0.0)
     else:
         iq = moment(body, q, m, key.child(2))
     return GrassmannMomentAvg(estimate, scale_estimate(iq, mratio), iq)
@@ -141,21 +137,14 @@ def negative_moment_ratios(body: Body, m: int, key: StreamKey) -> list[MomentRat
 
 @dataclass(frozen=True)
 class CentroidWidthReport:
-    """Per-subspace comparison of I_{-q}(K,F) with sqrt(k/q) w_{-q}(P_F Z_q(K)).
+    """Per-subspace ratios I_{-q}(K,F) / (sqrt(k/q) w_{-q}(P_F Z_q(K))).
 
     ``grassmann_neg_ratio`` additionally compares the Grassmannian negative-moment
     average against sqrt(k/n) I_{-q}(K).
     """
 
-    k: int
-    q: int
-    lhs: np.ndarray
-    rhs: np.ndarray
+    ratios: np.ndarray
     grassmann_neg_ratio: float
-
-    @property
-    def ratios(self) -> np.ndarray:
-        return self.lhs / self.rhs
 
 
 def centroid_width_check(
@@ -194,4 +183,4 @@ def centroid_width_check(
     avg_neg = float(np.mean(lhs ** (-q)) ** (-1.0 / q))
     iq_neg = moment(body, -float(q), m, key.child(3)).value
     grassmann_neg_ratio = avg_neg / (np.sqrt(k / n) * iq_neg)
-    return CentroidWidthReport(k, q, lhs, rhs, grassmann_neg_ratio)
+    return CentroidWidthReport(lhs / rhs, grassmann_neg_ratio)

@@ -31,14 +31,6 @@ class PointCloud:
         if self.points.ndim != 2 or self.points.shape[0] < 1:
             raise ValueError("points must be a nonempty (N, n) array")
 
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class RadiusProfile:
@@ -51,13 +43,12 @@ class RadiusProfile:
     ks: np.ndarray
     values: np.ndarray
     stderrs: np.ndarray
-    flags_used: int
 
     def estimate(self, k: int) -> Estimate:
         i = int(np.searchsorted(self.ks, k))
         if i >= self.ks.size or self.ks[i] != k:
             raise KeyError(f"profile has no entry for k={k}")
-        return Estimate(float(self.values[i]), float(self.stderrs[i]), self.flags_used)
+        return Estimate(float(self.values[i]), float(self.stderrs[i]))
 
 
 def outer_radius_points(cloud: PointCloud) -> float:
@@ -113,7 +104,7 @@ def radius_profile(
     every flag gets the same bits at any block size.  ``ks`` restricts the grid
     (default: every k = 1..n).
     """
-    n = cloud.dim
+    N, n = cloud.points.shape
     if ks is None:
         ks = np.arange(1, n + 1)
     ks = np.asarray(ks, dtype=int)
@@ -125,7 +116,7 @@ def radius_profile(
     if M < 2:
         raise ValueError("need at least 2 flags")
     kmax = int(ks[-1])
-    block = max(1, min(M, _BLOCK // (max(cloud.size, n) * kmax)))
+    block = max(1, min(M, _BLOCK // (max(N, n) * kmax)))
     per_flag = np.empty((M, ks.size))
     for start in range(0, M, block):
         keys = [key.child(i) for i in range(start, min(start + block, M))]
@@ -133,7 +124,7 @@ def radius_profile(
         per_flag[start : start + len(keys)] = np.sqrt(np.max(sq, axis=-2))
     values = np.mean(per_flag, axis=0)
     stderrs = np.std(per_flag, axis=0, ddof=1) / np.sqrt(M)
-    return RadiusProfile(ks, values, stderrs, M)
+    return RadiusProfile(ks, values, stderrs)
 
 
 def mean_width(cloud: PointCloud, M: int, key: StreamKey) -> Estimate:
@@ -143,6 +134,6 @@ def mean_width(cloud: PointCloud, M: int, key: StreamKey) -> Estimate:
     """
     if M < 2:
         raise ValueError("need at least 2 directions")
-    thetas = sphere_points(cloud.dim, M, key.child(0))
+    thetas = sphere_points(cloud.points.shape[1], M, key.child(0))
     vals = np.max(np.abs(cloud.points @ thetas.T), axis=0)
     return mean_and_stderr(vals)

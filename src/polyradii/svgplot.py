@@ -25,6 +25,11 @@ _PALETTE = [
 ]
 
 
+def _escape(text: str) -> str:
+    """Text safe inside an XML element: &, < and > as entities, & first."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _number(row: dict, col: str, where: str) -> float:
     try:
         return float(row[col])
@@ -91,7 +96,7 @@ def emit_plot(csv_path: str, x: str, y: str, out_path: str) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="monospace" font-size="12">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_ML}" y="20">{y} vs {x}</text>',
+        f'<text x="{_ML}" y="20">{_escape(y)} vs {_escape(x)}</text>',
         f'<line x1="{_ML}" y1="{_MT + plot_h}" x2="{_ML + plot_w}" y2="{_MT + plot_h}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + plot_h}" stroke="black"/>',
     ]
@@ -119,8 +124,8 @@ def emit_plot(csv_path: str, x: str, y: str, out_path: str) -> None:
         parts.append(
             f'<rect x="{_ML + plot_w + 12}" y="{ly - 9}" width="10" height="10" fill="{color}"/>'
         )
-        parts.append(f'<text x="{_ML + plot_w + 27}" y="{ly}">{label}</text>')
-    parts.append(f'<text x="{_ML + plot_w / 2:.2f}" y="{_HEIGHT - 10}" text-anchor="middle">{x}</text>')
+        parts.append(f'<text x="{_ML + plot_w + 27}" y="{ly}">{_escape(label)}</text>')
+    parts.append(f'<text x="{_ML + plot_w / 2:.2f}" y="{_HEIGHT - 10}" text-anchor="middle">{_escape(x)}</text>')
     parts.append("</svg>")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bodies import KINDS, Body, isotropic_constant, make_body, sample
+from .bodies import KINDS, Body, isotropic_constant, make_body, sample_points
 from .gaussian import expected_max_chi, projected_max_mc, tail_sandwich_check
 from .moments import (
     MIN_SAMPLES,
@@ -154,7 +154,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     for i, N in enumerate(config.N_list):
         profs = [
             radius_profile(
-                sample(body, N, root.child(0).child(i).child(r)),
+                PointCloud(sample_points(body, N, root.child(0).child(i).child(r))),
                 config.M,
                 root.child(1).child(i).child(r),
                 ks,
@@ -163,10 +163,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         ]
         flag = regime_flag(config.n, N)
         for k in config.k_list:
-            j = ks.index(k)
             norm = normalizer(k, N, L)
             for r, prof in enumerate(profs):
-                value = float(prof.values[j])
+                est = prof.estimate(k)
                 rows.append(
                     SweepRow(
                         config.body,
@@ -175,11 +174,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                         k,
                         r,
                         config.seed,
-                        value,
-                        float(prof.stderrs[j]),
+                        est.value,
+                        est.stderr,
                         L,
                         norm,
-                        value / norm,
+                        est.value / norm,
                         flag,
                     )
                 )
@@ -255,7 +254,7 @@ def gaussian_oracle_report(
     for i, k in enumerate(k_list):
         for j, N in enumerate(N_list):
             oracle = expected_max_chi(k, N)
-            norm = max(math.sqrt(k), math.sqrt(math.log(N)))
+            norm = normalizer(k, N, 1.0)
             if M > 0:
                 est = projected_max_mc(ambient, k, N, M, root.child(i).child(j))
                 agrees = abs(est.value - oracle) <= 3.0 * est.stderr
@@ -296,7 +295,7 @@ def check_i2_identity(body: Body, m: int, key: StreamKey) -> CheckResult:
 
 def _check_profile_monotone(body: Body, config: SweepConfig, key: StreamKey) -> CheckResult:
     clouds = [
-        sample(body, config.N_list[0], key.child(0)),
+        PointCloud(sample_points(body, config.N_list[0], key.child(0))),
         # adversarial: a single point and a collinear cloud
         PointCloud(np.ones((1, body.dim)) * 0.1),
         PointCloud(np.linspace(-0.3, 0.3, 7)[:, None] * np.ones(body.dim) / math.sqrt(body.dim)),
@@ -318,7 +317,7 @@ def _check_subspace_moments(body: Body, config: SweepConfig, q_main: float, key:
     tol = 3.0 * math.hypot(ga.estimate.stderr, ga.reference.stderr)
     yield CheckResult(
         "subspace_moment_identity",
-        f"ratio {ga.ratio:.4f}, gap {gap:.2e} (3se={tol:.2e})",
+        f"ratio {ga.estimate.value / ga.reference.value:.4f}, gap {gap:.2e} (3se={tol:.2e})",
         gap <= tol,
     )
     ratios = []
@@ -383,9 +382,8 @@ def _check_tail_sandwich() -> CheckResult:
     )
 
 
-def consistency_checks(config: SweepConfig | None = None, q: int = 2) -> list[CheckResult]:
+def consistency_checks(config: SweepConfig, q: int = 2) -> list[CheckResult]:
     """Run every band and identity verification; one CheckResult per check."""
-    config = config if config is not None else default_check_config()
     # the negative-moment table needs floor(min(sqrt n, (n - 1)/2 - 1)) >= 1, i.e. n >= 5
     if config.n < 5:
         raise ValueError(f"check needs n >= 5, got n={config.n}")

@@ -20,7 +20,6 @@ from polyradii.bodies import (
     KINDS,
     isotropic_constant,
     make_body,
-    sample,
     sample_points,
 )
 from polyradii.gaussian import expected_max_chi, tail_sandwich_check, projected_max_mc
@@ -129,8 +128,8 @@ def test_criterion_06_profile_monotone_zero_tolerance():
     with criterion(6, "profile monotonicity (pathwise, zero tolerance)"):
         key = StreamKey(SEED, (6,))
         clouds = [
-            sample(make_body("cube", 8), 500, key.child(0)),
-            sample(make_body("cross", 8), 500, key.child(1)),
+            PointCloud(sample_points(make_body("cube", 8), 500, key.child(0))),
+            PointCloud(sample_points(make_body("cross", 8), 500, key.child(1))),
             PointCloud(np.full((1, 8), 0.2)),  # single point
             PointCloud(np.linspace(-1, 1, 11)[:, None] * np.ones(8)),  # collinear
             PointCloud(np.zeros((3, 8))),  # degenerate at 0

@@ -12,7 +12,6 @@ from polyradii.bodies import (
     isotropic_constant,
     make_body,
     outer_radius_exact,
-    sample,
     sample_points,
     support,
 )
@@ -213,7 +212,6 @@ def test_simplex_covariance_formula(key):
     assert np.allclose(cov, expected, atol=4e-4)
 
 
-def test_sample_returns_tagged_cloud(key):
+def test_sample_points_shape(key):
     body = make_body("cube", 4)
-    cloud = sample(body, 50, key.child(12))
-    assert cloud.points.shape == (50, 4)
+    assert sample_points(body, 50, key.child(12)).shape == (50, 4)

@@ -15,7 +15,7 @@ from polyradii.gaussian import (
     tail_integral,
 )
 from polyradii.grassmann import haar_frames
-from polyradii.radii import radius_profile
+from polyradii.radii import PointCloud, radius_profile
 from polyradii.sweep import GAUSSIAN_RATIO_BAND, GAUSSIAN_RATIO_CALIBRATION
 
 
@@ -114,24 +114,24 @@ def test_tail_sandwich_dense_grid():
 
 
 def test_gaussian_cloud_basics(key):
-    cloud = gaussian_cloud(2, 10**6, key.child(1))
-    stderr = cloud.points.std(axis=0, ddof=1) / math.sqrt(cloud.size)
-    assert np.all(np.abs(cloud.points.mean(axis=0)) <= 3 * stderr)
+    pts = gaussian_cloud(2, 10**6, key.child(1))
+    stderr = pts.std(axis=0, ddof=1) / math.sqrt(pts.shape[0])
+    assert np.all(np.abs(pts.mean(axis=0)) <= 3 * stderr)
 
 
 def test_projected_gaussian_is_chi(key):
     # rotation invariance: |P_F X| follows the chi distribution in dim k
-    cloud = gaussian_cloud(9, 4000, key.child(2))
+    pts = gaussian_cloud(9, 4000, key.child(2))
     for k in (1, 3):
         F = haar_frames(9, k, [key.child(3).child(k)])[0]
-        nrm = np.linalg.norm(cloud.points @ F, axis=1)
+        nrm = np.linalg.norm(pts @ F, axis=1)
         assert kstest(nrm, lambda t: chi_cdf(k, t)).pvalue > 0.01
 
 
 def test_mean_outer_radius_matches_oracle_for_single_cloud(key):
     # with a large cloud the Grassmann average of one cloud concentrates near
     # the oracle; keep a bias allowance on top of the subspace stderr
-    cloud = gaussian_cloud(16, 2000, key.child(4))
+    cloud = PointCloud(gaussian_cloud(16, 2000, key.child(4)))
     est = radius_profile(cloud, 128, key.child(5), [4]).estimate(4)
     oracle = expected_max_chi(4, 2000)
     assert abs(est.value - oracle) <= 3 * est.stderr + 0.05 * oracle

@@ -50,6 +50,14 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def test_bodies_imports_only_streams():
+    # the body models stay below the estimators: no import of radii or above
+    tree = ast.parse((SRC / "bodies.py").read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert relative == {"streams"}
+
+
 def _probe(tmp_path: Path, commands: list[list[str]]) -> list:
     env = {**os.environ, "PYTHONPATH": str(SRC.parent), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(

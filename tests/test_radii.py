@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from polyradii.bodies import make_body, sample
+from polyradii.bodies import make_body, sample_points
 from polyradii.grassmann import haar_frames
 from polyradii import radii
 from polyradii.radii import (
@@ -51,7 +51,7 @@ def test_projected_sq_norms_monotone_and_complete(key):
     # single-point and collinear clouds of the profile_monotone check
     n = 16
     clouds = [
-        sample(make_body("cube", n), 256, key.child(30)).points,
+        sample_points(make_body("cube", n), 256, key.child(30)),
         np.ones((1, n)) * 0.1,
         np.linspace(-0.3, 0.3, 7)[:, None] * np.ones(n) / math.sqrt(n),
     ]
@@ -121,7 +121,7 @@ def test_projection_contraction(key):
 
 def test_mean_outer_radius_of_dense_ball_cloud(key):
     body = make_body("ball", 3)
-    cloud = sample(body, 20000, key.child(4))
+    cloud = PointCloud(sample_points(body, 20000, key.child(4)))
     for k in (1, 2, 3):
         est = radius_profile(cloud, 64, key.child(5).child(k), [k]).estimate(k)
         assert abs(est.value - body.scale) <= 3 * est.stderr + 0.01 * body.scale
@@ -184,7 +184,7 @@ def test_profile_k_errors_name_the_problem(key):
 
 def test_profile_flat_for_dense_ball(key):
     body = make_body("ball", 3)
-    cloud = sample(body, 20000, key.child(13))
+    cloud = PointCloud(sample_points(body, 20000, key.child(13)))
     prof = radius_profile(cloud, 32, key.child(14))
     for value, stderr in zip(prof.values, prof.stderrs):
         assert abs(value - body.scale) <= 3 * stderr + 0.01 * body.scale
@@ -192,7 +192,7 @@ def test_profile_flat_for_dense_ball(key):
 
 def test_profile_marginal_matches_mean_outer_radius(key):
     body = make_body("cube", 4)
-    cloud = sample(body, 500, key.child(15))
+    cloud = PointCloud(sample_points(body, 500, key.child(15)))
     prof = radius_profile(cloud, 256, key.child(16))
     for k in (1, 2, 4):
         est = radius_profile(cloud, 256, key.child(17).child(k), [k]).estimate(k)
@@ -225,7 +225,7 @@ def test_profile_flags_are_as_wide_as_the_largest_k(key):
 def _reference_profile(cloud, M, key, ks):
     """radius_profile one flag at a time, each flag drawn and projected alone;
     the blocked loop must give exactly these bits."""
-    n = cloud.dim
+    n = cloud.points.shape[1]
     per_flag = np.empty((M, len(ks)))
     for i in range(M):
         frame = haar_frames(n, int(ks[-1]), [key.child(i)])[0]
@@ -245,10 +245,10 @@ def test_blocked_profile_equals_the_reference_loop(key, monkeypatch, block):
     monkeypatch.setattr(radii, "haar_frames", recording_frames)
     n, seen = 8, set()
     clouds = [
-        sample(make_body("cube", n), 1000, key.child(33)),
+        PointCloud(sample_points(make_body("cube", n), 1000, key.child(33))),
         _cloud(np.full((1, n), 0.3)),  # N = 1
         _cloud(np.linspace(-1, 1, 9)[:, None] * np.ones(n)),  # collinear
-        sample(make_body("simplex", n), 9000, key.child(34)),  # N * n > 2^16
+        PointCloud(sample_points(make_body("simplex", n), 9000, key.child(34))),  # N * n > 2^16
     ]
     for c, cloud in enumerate(clouds):
         for ks in (None, [1], [n], [2, 3, 7]):
@@ -260,7 +260,7 @@ def test_blocked_profile_equals_the_reference_loop(key, monkeypatch, block):
                 assert np.array_equal(prof.values, values)
                 assert np.array_equal(prof.stderrs, stderrs)
                 kmax = int(prof.ks[-1])
-                B = max(1, min(M, block // (max(cloud.size, n) * kmax)))
+                B = max(1, min(M, block // (max(cloud.points.shape[0], n) * kmax)))
                 assert sizes == [B] * (M // B) + ([M % B] if M % B else [])
                 seen.update({"several" if B > 1 else "one flag per block",
                              "ragged" if M % B else "even"})
@@ -284,13 +284,13 @@ def test_mean_width_examples(key):
     assert abs(est.value - 0.5) <= 3 * est.stderr
 
     body = make_body("ball", 2)
-    dense = sample(body, 40000, key.child(21))
+    dense = PointCloud(sample_points(body, 40000, key.child(21)))
     est = mean_width(dense, 2000, key.child(22))
     assert abs(est.value - body.scale) <= 3 * est.stderr + 0.01 * body.scale
 
 
 def test_mean_width_agrees_with_k1_radius(key):
-    cloud = sample(make_body("cross", 3), 1000, key.child(23))
+    cloud = PointCloud(sample_points(make_body("cross", 3), 1000, key.child(23)))
     a = mean_width(cloud, 4000, key.child(24))
     b = radius_profile(cloud, 4000, key.child(25), [1]).estimate(1)
     assert abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)

@@ -157,7 +157,7 @@ def test_gaussian_oracle_report():
 
 
 def test_consistency_checks_default_all_pass():
-    results = consistency_checks()
+    results = consistency_checks(default_check_config())
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
     names = {r.name for r in results}
     assert {
@@ -240,6 +240,15 @@ def test_emit_plot_non_finite_value_exits_1(tmp_path, capsys):
         assert not svg.exists()
         with pytest.raises(ValueError, match=match):
             emit_plot(str(csv_path), "k", "estimate", str(svg))
+
+
+def test_emit_plot_escapes_markup_in_labels(tmp_path):
+    csv_path = tmp_path / "markup.csv"
+    csv_path.write_text("body,N,k<n,y&z>\na&b<c,10,1,1.5\na&b<c,10,2,2.5\n")
+    svg = tmp_path / "markup.svg"
+    emit_plot(str(csv_path), "k<n", "y&z>", str(svg))
+    texts = {el.text for el in ET.parse(svg).getroot() if el.tag.endswith("text")}
+    assert {"y&z> vs k<n", "a&b<c N=10", "k<n"} <= texts
 
 
 def test_cli_estimate(capsys):
