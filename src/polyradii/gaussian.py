@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
 
 from .estimates import Estimate, mean_and_stderr
-from .grassmann import haar_subspace
-from .radii import projected_sq_norms
+from .grassmann import haar_frames
+from .radii import _BLOCK, projected_sq_norms
 from .streams import StreamKey, standard_normal
 
 _ABS_TOL = 1e-9  # absolute error target of expected_max_chi
@@ -131,16 +131,21 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
 
     Each replica draws a fresh cloud and a fresh Haar subspace, so the mean
     targets the full expectation over both sources of randomness, which by
-    rotation invariance equals expected_max_chi(k, N).
+    rotation invariance equals expected_max_chi(k, N).  Replica i's cloud comes
+    from key.child(i) and its frame from key.child(i).child(1); the frames are
+    drawn in blocks of at most radii._BLOCK floats (one replica per block when
+    a frame needs more), and every frame has the same bits at any block size.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
+    block = max(1, min(replicas, _BLOCK // (n * k)))
     vals = np.empty(replicas)
-    for i in range(replicas):
-        child = key.child(i)
-        pts = gaussian_cloud(n, N, child)
-        frame = haar_subspace(n, k, child.child(1))
-        vals[i] = np.sqrt(np.max(projected_sq_norms(pts, frame, [k])))
+    for start in range(0, replicas, block):
+        stop = min(start + block, replicas)
+        frames = haar_frames(n, k, [key.child(i).child(1) for i in range(start, stop)])
+        for i, frame in enumerate(frames, start):
+            pts = gaussian_cloud(n, N, key.child(i))
+            vals[i] = np.sqrt(np.max(projected_sq_norms(pts, frame, [k])))
     return mean_and_stderr(vals)

@@ -33,8 +33,11 @@ def haar_frames(n: int, k: int, keys: Sequence[StreamKey]) -> np.ndarray:
 
 
 def haar_subspace(n: int, k: int, key: StreamKey) -> np.ndarray:
-    """One (n, k) Haar frame, haar_frames(n, k, [key])[0], for loops that use
-    each frame as soon as it is drawn."""
+    """One (n, k) Haar frame, haar_frames(n, k, [key])[0].
+
+    centroid_width_check is its only caller in the package; the benchmark's
+    frame counters hook this function, so it stays until they count
+    haar_frames draws."""
     return haar_frames(n, k, [key])[0]
 
 

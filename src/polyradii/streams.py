@@ -51,30 +51,42 @@ def _words_to_unit(bits: np.ndarray) -> np.ndarray:
 
     Above 2^52 the sum x + 0.5 rounds half to even, so x = 2^53 - 1 would map
     to exactly 1.0; it is clamped (in place) to 2^53 - 2, which maps to
-    1 - 2^-52.  Every other word keeps its value.
+    1 - 2^-52.  Every other word keeps its value.  One float64 array is
+    allocated and both steps are applied to it in place.
     """
     np.minimum(bits, _WORD_TOP, out=bits)
-    return (bits + 0.5) * 2.0**-53
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def uniform(key: StreamKey, count: int) -> np.ndarray:
     """i.i.d. uniforms on the open interval (0, 1).
 
     One 53-bit word per value (see _words_to_unit), so 0 and 1 are never
-    returned and downstream transforms (log, ndtri) are safe.
+    returned and downstream transforms (log, ndtri) are safe.  The word is the
+    top 53 bits of one raw Philox word, exactly what
+    ``integers(0, 2**53, dtype=np.uint64)`` returns: Lemire's method for that
+    range never rejects, since (2^64 - 2^53) mod 2^53 = 0, and keeps the high
+    word of x * 2^53, which is x >> 11.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    bits = generator(key).integers(0, 1 << 53, size=count, dtype=np.uint64)
+    bits = generator(key).bit_generator.random_raw(count)
+    bits >>= 11
     return _words_to_unit(bits)
 
 
 def standard_normal(key: StreamKey, count: int) -> np.ndarray:
     """i.i.d. N(0,1) via the inverse CDF; rejection-free, so the draw count
     consumed from the stream is fixed and the output is deterministic."""
-    return ndtri(uniform(key, count))
+    u = uniform(key, count)
+    return ndtri(u, out=u)
 
 
 def standard_exponential(key: StreamKey, count: int) -> np.ndarray:
     """i.i.d. Exp(1) via inversion; rejection-free."""
-    return -np.log(uniform(key, count))
+    u = uniform(key, count)
+    np.log(u, out=u)
+    return np.negative(u, out=u)

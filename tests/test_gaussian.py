@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest, norm
 
 from conftest import chi_max_mc
+from polyradii.estimates import mean_and_stderr
 from polyradii.gaussian import (
     chi_cdf,
     expected_max_chi,
@@ -15,7 +16,7 @@ from polyradii.gaussian import (
     tail_integral,
 )
 from polyradii.grassmann import haar_frames
-from polyradii.radii import PointCloud, radius_profile
+from polyradii.radii import _BLOCK, PointCloud, projected_sq_norms, radius_profile
 from polyradii.sweep import GAUSSIAN_RATIO_BAND, GAUSSIAN_RATIO_CALIBRATION
 
 
@@ -135,6 +136,19 @@ def test_mean_outer_radius_matches_oracle_for_single_cloud(key):
     est = radius_profile(cloud, 128, key.child(5), [4]).estimate(4)
     oracle = expected_max_chi(4, 2000)
     assert abs(est.value - oracle) <= 3 * est.stderr + 0.05 * oracle
+
+
+def test_blocked_projected_max_mc_equals_per_replica_loop(key):
+    # 64 x 32 frames come in blocks of 32, so 70 replicas make three blocks,
+    # the last one partial; one 260 x 260 frame exceeds _BLOCK on its own
+    assert _BLOCK // (64 * 32) == 32 and 260 * 260 > _BLOCK
+    for n, k, N, replicas in ((64, 32, 20, 70), (260, 260, 3, 4)):
+        vals = []
+        for i in range(replicas):
+            pts = gaussian_cloud(n, N, key.child(i))
+            frame = haar_frames(n, k, [key.child(i).child(1)])[0]
+            vals.append(np.sqrt(np.max(projected_sq_norms(pts, frame, [k]))))
+        assert projected_max_mc(n, k, N, replicas, key) == mean_and_stderr(vals)
 
 
 def test_projected_max_mc_agrees_with_quadrature(key):

@@ -6,6 +6,7 @@ from polyradii.estimates import Estimate, mean_and_stderr, power_estimate
 from polyradii.streams import (
     StreamKey,
     _words_to_unit,
+    generator,
     standard_exponential,
     standard_normal,
     uniform,
@@ -63,6 +64,29 @@ def test_words_to_unit_stays_inside_open_interval():
     assert np.array_equal(u[:-1], unclamped[:-1])
     assert u[-1] == u[-2] == 1.0 - 2.0**-52
     assert np.all(np.isfinite(ndtri(u)))
+
+
+def test_uniform_equals_integers_reference():
+    # uniform reads raw Philox words shifted right by 11; numpy's
+    # integers(0, 2**53) never rejects on that range and returns the same words.
+    # Counts around 4 straddle Philox's 4-word output blocks.
+    keys = [
+        StreamKey(0),
+        StreamKey(2**64 - 1),
+        StreamKey(9, (2**32, 2**64 - 1)),
+        StreamKey(5, (1, 2, 3, 4, 5, 6)),
+    ]
+    for key in keys:
+        for count in (0, 1, 3, 4, 5, 1001):
+            words = generator(key).integers(0, 2**53, size=count, dtype=np.uint64)
+            assert np.array_equal(uniform(key, count), _words_to_unit(words))
+
+
+def test_transforms_match_out_of_place_reference():
+    key = StreamKey(17, (3,))
+    for count in (0, 1, 5, 1001):
+        assert np.array_equal(standard_normal(key, count), ndtri(uniform(key, count)))
+        assert np.array_equal(standard_exponential(key, count), -np.log(uniform(key, count)))
 
 
 def test_normal_moments():
