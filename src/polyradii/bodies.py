@@ -1,8 +1,8 @@
 """Exact volume-one isotropic models: cube, ball, cross-polytope, simplex.
 
-Every body is an affine normalization with closed-form scale, isotropic
-constant, support function, membership test and outer radius.  Samplers are
-inversion-based (rejection-free) so a stream key pins the output exactly.
+Every body is an affine normalization with closed-form scale and isotropic
+constant.  Samplers are inversion-based (rejection-free) so a stream key pins
+the output exactly.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from scipy.special import gammaln
 from .streams import StreamKey, standard_exponential, standard_normal, uniform
 
 KINDS = ("cube", "ball", "cross", "simplex")
-
-_CONTAINS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,54 +92,6 @@ def isotropic_constant(body: Body) -> float:
     # Simplex: covariance is (sum of vertex outer products)/((n+1)(n+2)),
     # and the Helmert construction makes that sum equal scale^2 * identity.
     return body.scale / np.sqrt((n + 1.0) * (n + 2.0))
-
-
-def outer_radius_exact(body: Body) -> float:
-    """Exact R(K) = max_{x in K} |x|."""
-    n = body.dim
-    if body.kind == "cube":
-        return np.sqrt(n) / 2.0
-    if body.kind in ("ball", "cross"):
-        return body.scale
-    return float(np.max(np.linalg.norm(body.vertices, axis=1)))
-
-
-def support(body: Body, theta: np.ndarray) -> float:
-    """Exact support value h_K(theta) = max_{x in K} <x, theta> for unit theta."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (body.dim,):
-        raise ValueError("direction dimension mismatch")
-    if abs(np.linalg.norm(theta) - 1.0) > 1e-10:
-        raise ValueError("support direction must be a unit vector")
-    if body.kind == "cube":
-        return float(0.5 * np.sum(np.abs(theta)))
-    if body.kind == "ball":
-        return body.scale
-    if body.kind == "cross":
-        return float(body.scale * np.max(np.abs(theta)))
-    return float(np.max(body.vertices @ theta))
-
-
-def contains(body: Body, x: np.ndarray) -> bool | np.ndarray:
-    """Exact membership test; accepts one point (n,) or a batch (m, n)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != body.dim:
-        raise ValueError("point dimension mismatch")
-    if body.kind == "cube":
-        ok = np.max(np.abs(pts), axis=1) <= 0.5 + _CONTAINS_TOL
-    elif body.kind == "ball":
-        ok = np.linalg.norm(pts, axis=1) <= body.scale + _CONTAINS_TOL
-    elif body.kind == "cross":
-        ok = np.sum(np.abs(pts), axis=1) <= body.scale + _CONTAINS_TOL
-    else:
-        n = body.dim
-        system = np.vstack([body.vertices.T, np.ones((1, n + 1))])
-        rhs = np.vstack([pts.T, np.ones((1, pts.shape[0]))])
-        bary = np.linalg.solve(system, rhs)
-        ok = np.min(bary, axis=0) >= -_CONTAINS_TOL
-    return bool(ok[0]) if single else ok
 
 
 def sample_points(body: Body, m: int, key: StreamKey) -> np.ndarray:

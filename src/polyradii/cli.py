@@ -1,6 +1,7 @@
 """Command-line interface: estimate, sweep, gaussian, check, plot.
 
-Exit status: 0 success, 1 usage or I/O error, 2 check failure.
+Exit status: 0 success, 1 usage or I/O error or an input too large to
+allocate, 2 check failure.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"polyradii: error: {exc}\n")
         return 1
 

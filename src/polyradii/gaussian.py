@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import gammaincc, gammaln
 
 from .estimates import Estimate, mean_and_stderr
 from .grassmann import haar_frames
@@ -22,20 +22,6 @@ from .radii import _BLOCK, projected_sq_norms
 from .streams import StreamKey, standard_normal
 
 _ABS_TOL = 1e-9  # absolute error target of expected_max_chi
-
-
-def chi_cdf(k: int, t: float | np.ndarray) -> float | np.ndarray:
-    """CDF of the chi distribution with k degrees of freedom.
-
-    The regularized lower incomplete gamma P(k/2, t^2/2).
-    """
-    if k < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("chi_cdf needs t >= 0")
-    out = gammainc(k / 2.0, 0.5 * t_arr * t_arr)
-    return float(out) if np.isscalar(t) else out
 
 
 def expected_max_chi(k: int, N: int) -> float:

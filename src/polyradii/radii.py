@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import Estimate, mean_and_stderr
-from .grassmann import haar_frames, sphere_points
+from .estimates import Estimate
+from .grassmann import haar_frames
 from .streams import StreamKey
 
 _BLOCK = 1 << 16  # bound on B * max(N, n) * kmax for a block of B flags, in float64s
@@ -23,7 +23,9 @@ _PAIRWISE_LINEAR = 8
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """N sample points whose convex hull is the random polytope."""
+    """N sample points whose convex hull is the random polytope.
+
+    Kept only because the benchmark's radius_profile hook reads cloud.points."""
 
     points: np.ndarray
 
@@ -49,11 +51,6 @@ class RadiusProfile:
         if i >= self.ks.size or self.ks[i] != k:
             raise KeyError(f"profile has no entry for k={k}")
         return Estimate(float(self.values[i]), float(self.stderrs[i]))
-
-
-def outer_radius_points(cloud: PointCloud) -> float:
-    """R(conv X) = max_j |X_j|."""
-    return float(np.max(np.linalg.norm(cloud.points, axis=1)))
 
 
 def projected_sq_norms(points: np.ndarray, frames: np.ndarray, ks) -> np.ndarray:
@@ -125,15 +122,3 @@ def radius_profile(
     values = np.mean(per_flag, axis=0)
     stderrs = np.std(per_flag, axis=0, ddof=1) / np.sqrt(M)
     return RadiusProfile(ks, values, stderrs)
-
-
-def mean_width(cloud: PointCloud, M: int, key: StreamKey) -> Estimate:
-    """Average over M uniform directions of max_j |<X_j, theta>|.
-
-    This is the k = 1 mean outer radius computed without frames.
-    """
-    if M < 2:
-        raise ValueError("need at least 2 directions")
-    thetas = sphere_points(cloud.points.shape[1], M, key.child(0))
-    vals = np.max(np.abs(cloud.points @ thetas.T), axis=0)
-    return mean_and_stderr(vals)

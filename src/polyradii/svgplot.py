@@ -40,27 +40,31 @@ def _number(row: dict, col: str, where: str) -> float:
 def _read_groups(csv_path: str, x: str, y: str):
     with open(csv_path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        names = reader.fieldnames or []
-        for col in (x, y):
-            if col not in names:
-                raise ValueError(
-                    f"unknown column {col!r}; available columns: {', '.join(names)}"
-                )
-        groups: dict[str, list[tuple[float, float]]] = {}
-        for row in reader:
-            label_bits = []
-            if "body" in names:
-                label_bits.append(row["body"])
-            if "N" in names:
-                label_bits.append(f"N={row['N']}")
-            label = " ".join(label_bits) or "data"
-            where = f"{csv_path} line {reader.line_num}"
-            if row[x] is None or row[y] is None:
-                raise ValueError(f"{where}: missing field")
-            point = (_number(row, x, where), _number(row, y, where))
-            if not all(map(math.isfinite, point)):
-                raise ValueError(f"{where}: non-finite value")
-            groups.setdefault(label, []).append(point)
+        try:
+            names = reader.fieldnames or []
+            for col in (x, y):
+                if col not in names:
+                    raise ValueError(
+                        f"unknown column {col!r}; available columns: {', '.join(names)}"
+                    )
+            groups: dict[str, list[tuple[float, float]]] = {}
+            for row in reader:
+                label_bits = []
+                if "body" in names:
+                    label_bits.append(row["body"])
+                if "N" in names:
+                    label_bits.append(f"N={row['N']}")
+                label = " ".join(label_bits) or "data"
+                where = f"{csv_path} line {reader.line_num}"
+                if row[x] is None or row[y] is None:
+                    raise ValueError(f"{where}: missing field")
+                point = (_number(row, x, where), _number(row, y, where))
+                if not all(map(math.isfinite, point)):
+                    raise ValueError(f"{where}: non-finite value")
+                groups.setdefault(label, []).append(point)
+        except csv.Error as exc:
+            # DictReader updates its own line_num only after a row parses
+            raise ValueError(f"{csv_path} line {reader.reader.line_num}: {exc}") from None
     if not groups:
         raise ValueError("CSV has no data rows")
     for pts in groups.values():

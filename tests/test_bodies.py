@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import contains, outer_radius_exact, support
 from polyradii.bodies import (
     KINDS,
     Body,
     ball_radius,
-    contains,
     isotropic_constant,
     make_body,
-    outer_radius_exact,
     sample_points,
-    support,
 )
 from polyradii.grassmann import sphere_points
 from polyradii.streams import uniform

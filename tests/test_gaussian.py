@@ -6,9 +6,9 @@ from scipy.integrate import quad
 from scipy.stats import kstest, norm
 
 from conftest import chi_max_mc
+from oracles import chi_cdf
 from polyradii.estimates import mean_and_stderr
 from polyradii.gaussian import (
-    chi_cdf,
     expected_max_chi,
     gaussian_cloud,
     tail_sandwich_check,

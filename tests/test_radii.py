@@ -5,13 +5,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+from oracles import mean_width, outer_radius_points
 from polyradii.bodies import make_body, sample_points
 from polyradii.grassmann import haar_frames
 from polyradii import radii
 from polyradii.radii import (
     PointCloud,
-    mean_width,
-    outer_radius_points,
     projected_sq_norms,
     radius_profile,
 )

@@ -357,6 +357,20 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert cli.main(["check", "--config", str(cfg_path)]) == 1
     captured = capsys.readouterr()
     assert "check needs m >= 100, got m=50" in captured.err and captured.out == ""
+    # an input too large to allocate (6.94 EiB, beyond any address space) and a CSV
+    # field over the csv module's limit exit 1 with a message, not a traceback
+    big = tmp_path / "big.csv"
+    big.write_text("body,N,k,estimate\ncube,10,1," + "1" * 200000 + "\n")
+    for argv, message in (
+        (["estimate", "--body", "cube", "--n", "100", "--N", str(10**16), "--k", "1", "--M", "2"],
+         "Unable to allocate"),
+        (["plot", str(big), "--x", "k", "--y", "estimate", "--out", str(tmp_path / "big.svg")],
+         f"{big} line 2: field larger than field limit"),
+    ):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"polyradii: error: {message}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_cli_gaussian(capsys):
