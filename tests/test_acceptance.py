@@ -250,3 +250,17 @@ def test_criterion_10_sweep_determinism(tmp_path):
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0] == a.encode()
+
+
+def test_criterion_10_gaussian_bytes_at_one_and_all_cpus():
+    usable = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(usable) < 2:
+        pytest.skip("needs 2 usable CPUs and an affinity mask to confine a child to one")
+    with criterion(10, "byte-identical gaussian tables on one CPU and on all CPUs"):
+        argv = [sys.executable, "-m", "polyradii", "gaussian",
+                "--k", "1,8", "--N", "100", "--n", "16", "--M", "16"]
+        one = subprocess.run(argv, capture_output=True,
+                             preexec_fn=lambda: os.sched_setaffinity(0, {usable[0]}))
+        every = subprocess.run(argv, capture_output=True)
+        assert one.returncode == every.returncode, (one.stderr, every.stderr)
+        assert one.stdout == every.stdout and one.stdout

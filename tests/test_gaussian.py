@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy.stats import kstest, norm
 
 from conftest import chi_max_mc
 from oracles import chi_cdf
+from polyradii import gaussian
 from polyradii.estimates import mean_and_stderr
 from polyradii.gaussian import (
     expected_max_chi,
@@ -138,17 +141,59 @@ def test_mean_outer_radius_matches_oracle_for_single_cloud(key):
     assert abs(est.value - oracle) <= 3 * est.stderr + 0.05 * oracle
 
 
-def test_blocked_projected_max_mc_equals_per_replica_loop(key):
-    # 64 x 32 frames come in blocks of 32, so 70 replicas make three blocks,
-    # the last one partial; one 260 x 260 frame exceeds _BLOCK on its own
+def test_blocked_projected_max_mc_equals_per_replica_loop(key, monkeypatch):
+    # _BLOCK holds 32 frames of 64 x 32, split across lanes: blocks of 32, 16
+    # and 10 at 1, 2 and 3 lanes, so 70 replicas make 3, 5 and 7 blocks, the
+    # last one partial; one 260 x 260 frame exceeds _BLOCK on its own; and 2
+    # replicas at 3 usable CPUs run in 2 lanes.  A short switch interval makes
+    # the lanes' threads interleave often, so a lost or misplaced write shows.
     assert _BLOCK // (64 * 32) == 32 and 260 * 260 > _BLOCK
-    for n, k, N, replicas in ((64, 32, 20, 70), (260, 260, 3, 4)):
+    for n, k, N, replicas in ((64, 32, 20, 70), (260, 260, 3, 4), (8, 2, 5, 2)):
         vals = []
         for i in range(replicas):
             pts = gaussian_cloud(n, N, key.child(i))
             frame = haar_frames(n, k, [key.child(i).child(1)])[0]
             vals.append(np.sqrt(np.max(projected_sq_norms(pts, frame, [k]))))
-        assert projected_max_mc(n, k, N, replicas, key) == mean_and_stderr(vals)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for lanes in (1, 2, 3):
+                monkeypatch.setattr(gaussian, "_usable_cpus", lambda: lanes)
+                assert projected_max_mc(n, k, N, replicas, key) == mean_and_stderr(vals)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_projected_max_mc_stops_every_lane_on_error(key, monkeypatch):
+    # 2 lanes of 8 replicas take the blocks 0-3 and 4-7: replica 5 fails in the
+    # helper's lane and replica 0 in the calling thread's lane, each while the
+    # other lane is inside a call; that lane stops at its next replica, and no
+    # lane runs once the error is raised
+    real_cloud = gaussian.gaussian_cloud
+    replica = {key.child(i): i for i in range(8)}
+    monkeypatch.setattr(gaussian, "_usable_cpus", lambda: 2)
+    for bad, unreached in ((5, 3), (0, 7)):
+        calls, running = [], []
+
+        def cloud(n, N, cloud_key):
+            calls.append(replica[cloud_key])
+            running.append(1)
+            try:
+                if replica[cloud_key] == bad:
+                    time.sleep(0.05)
+                    raise RuntimeError(f"replica {bad}")
+                time.sleep(0.1)
+                return real_cloud(n, N, cloud_key)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(gaussian, "gaussian_cloud", cloud)
+        with pytest.raises(RuntimeError, match=f"replica {bad}"):
+            projected_max_mc(16, 4, 10, 8, key)
+        returned = list(calls)
+        assert not running
+        time.sleep(0.1)
+        assert calls == returned and bad in calls and unreached not in calls
 
 
 def test_projected_max_mc_agrees_with_quadrature(key):
