@@ -25,8 +25,11 @@ from .radii import _BLOCK, projected_sq_norms
 from .streams import StreamKey, standard_normal
 
 _ABS_TOL = 1e-9  # absolute error target of expected_max_chi
+_CLOUDS = 1 << 22  # bound on lanes * N * n when projected_max_mc runs 2+ lanes, in float64s
 # Helper threads for lanes 1.. of projected_max_mc, made on first use and then reused:
 # a pool made per call raised the peak RSS of the gaussian benchmark by up to 8%.
+# It is sized from os.cpu_count(), which no affinity mask exceeds, and starts a
+# thread only when a call needs one more than it has.
 _helpers: ThreadPoolExecutor | None = None
 _helpers_lock = threading.Lock()
 
@@ -126,6 +129,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _lanes(n: int, N: int, replicas: int) -> int:
+    """Lanes of projected_max_mc: one per usable CPU and at most one per
+    replica, but only as many as keep their (N, n) clouds within _CLOUDS
+    floats together; one lane when a single cloud needs more."""
+    return min(_usable_cpus(), replicas, max(1, _CLOUDS // (N * n)))
+
+
 def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> Estimate:
     """Monte Carlo of the expected k-th mean outer radius of Gaussian clouds.
 
@@ -133,23 +143,25 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
     targets the full expectation over both sources of randomness, which by
     rotation invariance equals expected_max_chi(k, N).  Replica i's cloud comes
     from key.child(i) and its frame from key.child(i).child(1), and it writes
-    only vals[i].  The replicas run in lanes = min(usable CPUs, replicas)
-    lanes: the calling thread runs lane 0 and reused helper threads the rest,
-    and lane j takes the frame blocks j, j + lanes, j + 2 lanes, ...  The
-    blocks of all lanes together hold at most radii._BLOCK floats (one replica
-    per block when a frame needs more).  A frame has the same bits at any block
-    size and the mean reduces vals in index order, so the result has the same
-    bits at any lane count.  An error in any lane stops the other lanes at
-    their next replica; the first error in lane order is raised once all
-    lanes have stopped.
+    only vals[i].  The replicas run in _lanes(n, N, replicas) lanes: the
+    calling thread runs lane 0 and reused helper threads the rest, and lane j
+    takes the frame blocks j, j + lanes, j + 2 lanes, ...  Each lane holds one
+    cloud at a time, and briefly twice its size while the cloud is drawn (the
+    raw words and the floats).  With several lanes the clouds together hold at
+    most _CLOUDS floats, so lanes add less than 2 * _CLOUDS floats (64 MiB) to
+    a single lane's memory.  The frame blocks of all lanes together hold at most
+    radii._BLOCK floats (one replica per block when a frame needs more).  A
+    frame has the same bits at any block size and the mean reduces vals in
+    index order, so the result has the same bits at any lane count.  An error
+    in any lane stops the other lanes at their next replica; the first error
+    in lane order is raised once all lanes have stopped.
     """
     global _helpers
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    cpus = _usable_cpus()
-    lanes = min(cpus, replicas)
+    lanes = _lanes(n, N, replicas)
     block = max(1, min(-(-replicas // lanes), _BLOCK // (lanes * n * k)))
     vals = np.empty(replicas)
     failed = threading.Event()
@@ -171,7 +183,7 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
     if lanes > 1:
         with _helpers_lock:
             if _helpers is None:
-                _helpers = ThreadPoolExecutor(cpus - 1, thread_name_prefix="polyradii-lane")
+                _helpers = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="polyradii-lane")
     helpers = [_helpers.submit(lane, j) for j in range(1, lanes)]
     try:
         lane(0)

@@ -257,10 +257,13 @@ def test_criterion_10_gaussian_bytes_at_one_and_all_cpus():
     if len(usable) < 2:
         pytest.skip("needs 2 usable CPUs and an affinity mask to confine a child to one")
     with criterion(10, "byte-identical gaussian tables on one CPU and on all CPUs"):
-        argv = [sys.executable, "-m", "polyradii", "gaussian",
-                "--k", "1,8", "--N", "100", "--n", "16", "--M", "16"]
-        one = subprocess.run(argv, capture_output=True,
-                             preexec_fn=lambda: os.sched_setaffinity(0, {usable[0]}))
-        every = subprocess.run(argv, capture_output=True)
+        args = ["gaussian", "--k", "1,8", "--N", "100", "--n", "16", "--M", "16"]
+        # the child confines itself and then execs the command, which keeps the
+        # affinity mask; no code runs between fork and exec in this threaded process
+        confine = ("import os, sys; os.sched_setaffinity(0, {int(sys.argv[1])}); "
+                   "os.execv(sys.executable, [sys.executable, '-m', 'polyradii', *sys.argv[2:]])")
+        one = subprocess.run([sys.executable, "-c", confine, str(usable[0]), *args],
+                             capture_output=True)
+        every = subprocess.run([sys.executable, "-m", "polyradii", *args], capture_output=True)
         assert one.returncode == every.returncode, (one.stderr, every.stderr)
         assert one.stdout == every.stdout and one.stdout

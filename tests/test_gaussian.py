@@ -1,6 +1,8 @@
 import math
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -162,6 +164,43 @@ def test_blocked_projected_max_mc_equals_per_replica_loop(key, monkeypatch):
                 assert projected_max_mc(n, k, N, replicas, key) == mean_and_stderr(vals)
         finally:
             sys.setswitchinterval(interval)
+
+
+def test_lanes_keep_the_clouds_within_budget(key, monkeypatch):
+    # at 32 usable CPUs small clouds get one lane per CPU, at most one per
+    # replica; larger (N, n) clouds share _CLOUDS floats, down to a single lane
+    # once one cloud alone needs more (10^7 x 16 floats are 1.28 GB)
+    monkeypatch.setattr(gaussian, "_usable_cpus", lambda: 32)
+    assert gaussian._CLOUDS == 1 << 22
+    assert gaussian._lanes(64, 1000, 128) == 32
+    assert gaussian._lanes(64, 1000, 5) == 5
+    assert gaussian._lanes(16, 1 << 16, 128) == 4
+    assert gaussian._lanes(16, 1 << 18, 128) == 1
+    assert gaussian._lanes(16, 10**7, 128) == 1
+    # projected_max_mc runs its clouds in as many threads as _lanes allows, with
+    # the same result: 3 usable CPUs and room for 3, 2 and 1 clouds of 20 x 8
+    real_cloud = gaussian.gaussian_cloud
+    threads = set()
+
+    def cloud(n, N, cloud_key):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)
+        return real_cloud(n, N, cloud_key)
+
+    monkeypatch.setattr(gaussian, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(gaussian, "gaussian_cloud", cloud)
+    # a pool of its own with a helper for each lane after the first, whatever
+    # os.cpu_count() says on this host
+    with ThreadPoolExecutor(2) as helpers:
+        monkeypatch.setattr(gaussian, "_helpers", helpers)
+        results = []
+        for clouds in (3, 2, 1):
+            monkeypatch.setattr(gaussian, "_CLOUDS", clouds * 20 * 8)
+            threads.clear()
+            results.append(projected_max_mc(8, 2, 20, 12, key))
+            assert len(threads) == clouds
+            assert clouds > 1 or threads == {threading.get_ident()}
+    assert results[0] == results[1] == results[2]
 
 
 def test_projected_max_mc_stops_every_lane_on_error(key, monkeypatch):
