@@ -144,17 +144,21 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
     rotation invariance equals expected_max_chi(k, N).  Replica i's cloud comes
     from key.child(i) and its frame from key.child(i).child(1), and it writes
     only vals[i].  The replicas run in _lanes(n, N, replicas) lanes: the
-    calling thread runs lane 0 and reused helper threads the rest, and lane j
-    takes the frame blocks j, j + lanes, j + 2 lanes, ...  Each lane holds one
-    cloud at a time, and briefly twice its size while the cloud is drawn (the
-    raw words and the floats).  With several lanes the clouds together hold at
-    most _CLOUDS floats, so lanes add less than 2 * _CLOUDS floats (64 MiB) to
-    a single lane's memory.  The frame blocks of all lanes together hold at most
+    calling thread runs lane 0 and reused helper threads the rest.  A lane that
+    comes free takes the next block of replicas not yet taken; with several
+    lanes a block is 1 / (2 lanes) of the replicas left, rounded up, so the
+    blocks shrink towards the end and a lane on a busy CPU runs fewer of them
+    instead of holding up the call.  Each lane holds one cloud at a time, and
+    briefly twice its size while the cloud is drawn (the raw words and the
+    floats).  With several lanes the clouds together hold at most _CLOUDS
+    floats, so lanes add less than 2 * _CLOUDS floats (64 MiB) to a single
+    lane's memory.  The frame blocks of all lanes together hold at most
     radii._BLOCK floats (one replica per block when a frame needs more).  A
     frame has the same bits at any block size and the mean reduces vals in
     index order, so the result has the same bits at any lane count.  An error
-    in any lane stops the other lanes at their next replica; the first error
-    in lane order is raised once all lanes have stopped.
+    in any lane stops the other lanes at their next replica; once all lanes
+    have stopped, the calling thread's error is raised, else the first helper's
+    in the order they were started.
     """
     global _helpers
     if not 1 <= k <= n:
@@ -162,14 +166,25 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     lanes = _lanes(n, N, replicas)
-    block = max(1, min(-(-replicas // lanes), _BLOCK // (lanes * n * k)))
+    cap = max(1, _BLOCK // (lanes * n * k))
     vals = np.empty(replicas)
     failed = threading.Event()
+    taken = 0
+    take = threading.Lock()
 
-    def lane(j: int) -> None:
+    def next_block() -> tuple[int, int]:
+        nonlocal taken
+        with take:
+            start, left = taken, replicas - taken
+            taken += min(cap, left if lanes == 1 else -(-left // (2 * lanes)))
+            return start, taken
+
+    def lane() -> None:
         try:
-            for start in range(j * block, replicas, lanes * block):
-                stop = min(start + block, replicas)
+            while not failed.is_set():
+                start, stop = next_block()
+                if start == stop:
+                    return
                 keys = [key.child(i).child(1) for i in range(start, stop)]
                 for i, frame in enumerate(haar_frames(n, k, keys), start):
                     if failed.is_set():
@@ -184,9 +199,9 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
         with _helpers_lock:
             if _helpers is None:
                 _helpers = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="polyradii-lane")
-    helpers = [_helpers.submit(lane, j) for j in range(1, lanes)]
+    helpers = [_helpers.submit(lane) for _ in range(1, lanes)]
     try:
-        lane(0)
+        lane()
     finally:
         wait(helpers)
     for helper in helpers:

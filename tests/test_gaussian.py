@@ -144,11 +144,13 @@ def test_mean_outer_radius_matches_oracle_for_single_cloud(key):
 
 
 def test_blocked_projected_max_mc_equals_per_replica_loop(key, monkeypatch):
-    # _BLOCK holds 32 frames of 64 x 32, split across lanes: blocks of 32, 16
-    # and 10 at 1, 2 and 3 lanes, so 70 replicas make 3, 5 and 7 blocks, the
-    # last one partial; one 260 x 260 frame exceeds _BLOCK on its own; and 2
-    # replicas at 3 usable CPUs run in 2 lanes.  A short switch interval makes
-    # the lanes' threads interleave often, so a lost or misplaced write shows.
+    # _BLOCK holds 32 frames of 64 x 32, split across lanes: blocks of at most
+    # 32, 16 and 10 at 1, 2 and 3 lanes.  One lane takes 70 replicas as 32, 32
+    # and 6; several lanes take 1 / (2 lanes) of the replicas left in turn, 13
+    # blocks at 2 lanes (16, 14, 10, ..., 1) and 18 at 3.  One 260 x 260 frame
+    # exceeds _BLOCK on its own, and 2 replicas at 3 usable CPUs run in 2
+    # lanes.  A short switch interval makes the lanes' threads interleave
+    # often, so a lost or misplaced write shows.
     assert _BLOCK // (64 * 32) == 32 and 260 * 260 > _BLOCK
     for n, k, N, replicas in ((64, 32, 20, 70), (260, 260, 3, 4), (8, 2, 5, 2)):
         vals = []
@@ -178,13 +180,15 @@ def test_lanes_keep_the_clouds_within_budget(key, monkeypatch):
     assert gaussian._lanes(16, 1 << 18, 128) == 1
     assert gaussian._lanes(16, 10**7, 128) == 1
     # projected_max_mc runs its clouds in as many threads as _lanes allows, with
-    # the same result: 3 usable CPUs and room for 3, 2 and 1 clouds of 20 x 8
+    # the same result: 3 usable CPUs and room for 3, 2 and 1 clouds of 20 x 8;
+    # the first blocks of 12 replicas hold 2 or 3 each, and each lane takes one
+    # while the others sleep in theirs
     real_cloud = gaussian.gaussian_cloud
     threads = set()
 
     def cloud(n, N, cloud_key):
         threads.add(threading.get_ident())
-        time.sleep(0.01)
+        time.sleep(0.02)
         return real_cloud(n, N, cloud_key)
 
     monkeypatch.setattr(gaussian, "_usable_cpus", lambda: 3)
@@ -204,35 +208,38 @@ def test_lanes_keep_the_clouds_within_budget(key, monkeypatch):
 
 
 def test_projected_max_mc_stops_every_lane_on_error(key, monkeypatch):
-    # 2 lanes of 8 replicas take the blocks 0-3 and 4-7: replica 5 fails in the
-    # helper's lane and replica 0 in the calling thread's lane, each while the
-    # other lane is inside a call; that lane stops at its next replica, and no
-    # lane runs once the error is raised
+    # 2 lanes take the blocks 0-1, 2-3, 4, 5, 6 and 7 as they come free: the
+    # first replica a helper runs fails, and then the first one the calling
+    # thread runs, each while the other lane sleeps inside a replica; that lane
+    # stops at its next replica, and no lane runs once the error is raised
     real_cloud = gaussian.gaussian_cloud
     replica = {key.child(i): i for i in range(8)}
     monkeypatch.setattr(gaussian, "_usable_cpus", lambda: 2)
-    for bad, unreached in ((5, 3), (0, 7)):
-        calls, running = [], []
+    for fail_in_caller in (False, True):
+        calls, running, failed = [], [], []
 
         def cloud(n, N, cloud_key):
             calls.append(replica[cloud_key])
             running.append(1)
             try:
-                if replica[cloud_key] == bad:
+                in_caller = threading.current_thread() is threading.main_thread()
+                if in_caller == fail_in_caller and not failed:
+                    failed.append(replica[cloud_key])
                     time.sleep(0.05)
-                    raise RuntimeError(f"replica {bad}")
+                    raise RuntimeError(f"replica {failed[0]}")
                 time.sleep(0.1)
                 return real_cloud(n, N, cloud_key)
             finally:
                 running.pop()
 
         monkeypatch.setattr(gaussian, "gaussian_cloud", cloud)
-        with pytest.raises(RuntimeError, match=f"replica {bad}"):
+        with pytest.raises(RuntimeError, match="replica") as raised:
             projected_max_mc(16, 4, 10, 8, key)
         returned = list(calls)
         assert not running
         time.sleep(0.1)
-        assert calls == returned and bad in calls and unreached not in calls
+        assert str(raised.value) == f"replica {failed[0]}"
+        assert calls == returned and 7 not in calls
 
 
 def test_projected_max_mc_agrees_with_quadrature(key):
