@@ -160,7 +160,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"polyradii: error: {exc}\n")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

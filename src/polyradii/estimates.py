@@ -37,10 +37,6 @@ def mean_and_stderr(xs: np.ndarray) -> Estimate:
     return Estimate(mean, np.sqrt(var / n))
 
 
-def scale_estimate(est: Estimate, factor: float) -> Estimate:
-    return Estimate(est.value * factor, est.stderr * abs(factor))
-
-
 def power_estimate(est: Estimate, exponent: float) -> Estimate:
     """Delta-method transform value -> value**exponent (first order only).
 

@@ -81,10 +81,8 @@ class TailSandwichRow:
     """One grid point of the chi tail-integral sandwich check."""
 
     k: int
-    t: float
     lower: float
     value: float
-    upper: float
     holds: bool
 
 
@@ -109,9 +107,8 @@ def tail_sandwich_check(k_max: int, t_grid: np.ndarray) -> list[TailSandwichRow]
                 )
             lower = math.exp((k - 1) * math.log(t) - 0.5 * t * t)
             value = tail_integral(k, float(t))
-            upper = 2.0 * lower
-            holds = lower * (1.0 - 1e-9) <= value <= upper * (1.0 + 1e-9)
-            rows.append(TailSandwichRow(k, float(t), lower, value, upper, holds))
+            holds = lower * (1.0 - 1e-9) <= value <= 2.0 * lower * (1.0 + 1e-9)
+            rows.append(TailSandwichRow(k, lower, value, holds))
     return rows
 
 
@@ -145,20 +142,19 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
     from key.child(i) and its frame from key.child(i).child(1), and it writes
     only vals[i].  The replicas run in _lanes(n, N, replicas) lanes: the
     calling thread runs lane 0 and reused helper threads the rest.  A lane that
-    comes free takes the next block of replicas not yet taken; with several
-    lanes a block is 1 / (2 lanes) of the replicas left, rounded up, so the
-    blocks shrink towards the end and a lane on a busy CPU runs fewer of them
-    instead of holding up the call.  Each lane holds one cloud at a time, and
-    briefly twice its size while the cloud is drawn (the raw words and the
-    floats).  With several lanes the clouds together hold at most _CLOUDS
-    floats, so lanes add less than 2 * _CLOUDS floats (64 MiB) to a single
-    lane's memory.  The frame blocks of all lanes together hold at most
-    radii._BLOCK floats (one replica per block when a frame needs more).  A
-    frame has the same bits at any block size and the mean reduces vals in
-    index order, so the result has the same bits at any lane count.  An error
-    in any lane stops the other lanes at their next replica; once all lanes
-    have stopped, the calling thread's error is raised, else the first helper's
-    in the order they were started.
+    comes free takes the next block of replicas not yet taken, 1 / (2 lanes)
+    of the replicas left, rounded up, so the blocks shrink towards the end and
+    a lane on a busy CPU runs fewer of them instead of holding up the call.
+    Each lane holds one cloud at a time, and briefly twice its size while the
+    cloud is drawn (the raw words and the floats).  With several lanes the
+    clouds together hold at most _CLOUDS floats, so lanes add less than
+    2 * _CLOUDS floats (64 MiB) to a single lane's memory.  The frame blocks of
+    all lanes together hold at most radii._BLOCK floats (one replica per block
+    when a frame needs more).  A frame has the same bits at any block size and
+    the mean reduces vals in index order, so the result has the same bits at
+    any lane count.  An error in any lane stops the other lanes at their next
+    replica; once all lanes have stopped, the calling thread's error is raised,
+    else the first helper's in the order they were started.
     """
     global _helpers
     if not 1 <= k <= n:
@@ -176,7 +172,7 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
         nonlocal taken
         with take:
             start, left = taken, replicas - taken
-            taken += min(cap, left if lanes == 1 else -(-left // (2 * lanes)))
+            taken += min(cap, -(-left // (2 * lanes)))
             return start, taken
 
     def lane() -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import Body, isotropic_constant, sample_points
-from .estimates import Estimate, mean_and_stderr, power_estimate, scale_estimate
+from .estimates import Estimate, mean_and_stderr, power_estimate
 from .grassmann import haar_frames, haar_subspace, sphere_marginal_moment, sphere_points
 from .radii import projected_sq_norms
 from .streams import StreamKey
@@ -86,7 +86,7 @@ def grassmann_moment_avg(
         iq = Estimate(ball_moment_exact(body, q), 0.0)
     else:
         iq = moment(body, q, m, key.child(2))
-    return GrassmannMomentAvg(estimate, scale_estimate(iq, mratio), iq)
+    return GrassmannMomentAvg(estimate, Estimate(iq.value * mratio, iq.stderr * mratio), iq)
 
 
 @dataclass(frozen=True)

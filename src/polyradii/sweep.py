@@ -35,18 +35,6 @@ DEFAULT_R = 5
 DEFAULT_POINTS = 10_000
 DEFAULT_SEED = 20260809
 
-# Calibrated on the default grid (seed 20260809, M=64, R=10): the observed
-# ratio range across all four bodies was [1.015, 2.203]; the band pads that
-# ~10% each side.  A regression value, not a theory constant.
-PINNED_RATIO_BAND = (0.90, 2.45)
-RATIO_RANGE_CALIBRATION = (1.0150394963765172, 2.202200150871888)
-
-# Band for expected_max_chi(k, N) / max(sqrt k, sqrt log N) over the grid
-# (k, N) in {1,2,5,10,50} x {1,10,100,1000,10000}; endpoints pinned from the
-# quadrature sweep at first calibration.
-GAUSSIAN_RATIO_BAND = (0.70, 2.10)
-GAUSSIAN_RATIO_CALIBRATION = (0.7978845608028629, 1.9215180302329714)
-
 
 def _reject_repeats(**lists: list[int]) -> None:
     """Raise on the first list that names a value twice."""
@@ -229,8 +217,8 @@ class GaussianOracleRow:
 def gaussian_oracle_report(
     k_list: list[int],
     N_list: list[int],
-    M: int = 128,
-    seed: int = DEFAULT_SEED,
+    M: int,
+    seed: int,
     n: int | None = None,
 ) -> list[GaussianOracleRow]:
     """MC mean outer radii of Gaussian clouds vs expected_max_chi vs normalizer.

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import chi_max_mc
+from oracles import PINNED_RATIO_BAND, RATIO_RANGE_CALIBRATION
 from polyradii.bodies import (
     KINDS,
     isotropic_constant,
@@ -28,13 +29,7 @@ from polyradii.moments import ball_moment_exact, grassmann_moment_avg, moment
 from polyradii.moments import negative_moment_ratios, positive_moment_ratios
 from polyradii.radii import PointCloud, radius_profile
 from polyradii.streams import StreamKey
-from polyradii.sweep import (
-    PINNED_RATIO_BAND,
-    RATIO_RANGE_CALIBRATION,
-    SweepConfig,
-    rows_to_csv,
-    run_sweep,
-)
+from polyradii.sweep import SweepConfig, rows_to_csv, run_sweep
 
 SEED = 20260809
 

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest, norm
 
 from conftest import chi_max_mc
-from oracles import chi_cdf
+from oracles import GAUSSIAN_RATIO_BAND, GAUSSIAN_RATIO_CALIBRATION, chi_cdf
 from polyradii import gaussian
 from polyradii.estimates import mean_and_stderr
 from polyradii.gaussian import (
@@ -22,7 +22,6 @@ from polyradii.gaussian import (
 )
 from polyradii.grassmann import haar_frames
 from polyradii.radii import _BLOCK, PointCloud, projected_sq_norms, radius_profile
-from polyradii.sweep import GAUSSIAN_RATIO_BAND, GAUSSIAN_RATIO_CALIBRATION
 
 
 def test_chi_cdf_values():
@@ -145,11 +144,11 @@ def test_mean_outer_radius_matches_oracle_for_single_cloud(key):
 
 def test_blocked_projected_max_mc_equals_per_replica_loop(key, monkeypatch):
     # _BLOCK holds 32 frames of 64 x 32, split across lanes: blocks of at most
-    # 32, 16 and 10 at 1, 2 and 3 lanes.  One lane takes 70 replicas as 32, 32
-    # and 6; several lanes take 1 / (2 lanes) of the replicas left in turn, 13
-    # blocks at 2 lanes (16, 14, 10, ..., 1) and 18 at 3.  One 260 x 260 frame
-    # exceeds _BLOCK on its own, and 2 replicas at 3 usable CPUs run in 2
-    # lanes.  A short switch interval makes the lanes' threads interleave
+    # 32, 16 and 10 at 1, 2 and 3 lanes.  The lanes take 1 / (2 lanes) of the
+    # replicas left in turn: 70 replicas as 7 blocks at 1 lane (32, 19, 10, 5,
+    # 2, 1, 1), 13 at 2 lanes (16, 14, 10, ..., 1) and 18 at 3.  One 260 x 260
+    # frame exceeds _BLOCK on its own, and 2 replicas at 3 usable CPUs run in
+    # 2 lanes.  A short switch interval makes the lanes' threads interleave
     # often, so a lost or misplaced write shows.
     assert _BLOCK // (64 * 32) == 32 and 260 * 260 > _BLOCK
     for n, k, N, replicas in ((64, 32, 20, 70), (260, 260, 3, 4), (8, 2, 5, 2)):

@@ -2,9 +2,10 @@
 
 No package module imports a name it never uses, ``__init__.py`` included:
 the top level exports nothing, so a re-export added there fails as an unused
-import.  Only the chi quadrature behind ``gaussian`` loads scipy.integrate: it
-pulls in some 290 modules that every other command would pay for in start-up
-time and memory.
+import.  Every public name a package module defines is read by some package
+module; what only the tests read lives in ``tests/``.  Only the chi quadrature
+behind ``gaussian`` loads scipy.integrate: it pulls in some 290 modules that
+every other command would pay for in start-up time and memory.
 """
 
 import ast
@@ -49,6 +50,30 @@ def test_no_unused_imports():
     assert len(modules) > 1
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    """Public names a module binds at its top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.ClassDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_public_name_is_loaded_by_the_package():
+    # a public name that no package module reads serves only the tests or
+    # nothing at all; test-only code belongs in tests/
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert len(trees) > 1
+    loaded = {node.id for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = {name: sorted(names - loaded) for name, tree in trees.items()
+              if (names := _public_definitions(tree)) - loaded}
+    assert unread == {}
 
 
 def test_bodies_imports_only_streams():

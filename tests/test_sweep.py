@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -357,6 +360,33 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert cli.main(["check", "--config", str(cfg_path)]) == 1
     captured = capsys.readouterr()
     assert "check needs m >= 100, got m=50" in captured.err and captured.out == ""
+    # a k or N list that is not integers is an argparse error, and an empty one
+    # is rejected by the report
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gaussian", "--k", "a", "--N", "10"])
+    assert exc.value.code == 1
+    assert "expected comma-separated integers" in capsys.readouterr().err
+    # each runtime check names what is wrong and prints nothing to stdout
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(",".join(CSV_COLUMNS) + "\n")
+    for cfg, argv, message in (
+        (None, ["gaussian", "--k", ",", "--N", "10"], "k_list and N_list must be nonempty"),
+        ({**BALL_CFG, "n": 0}, ["sweep", "--config", str(cfg_path), "--out", str(out)],
+         "n must be >= 1"),
+        (BALL_CFG, ["sweep", "--config", str(cfg_path)], "no output path"),  # no "out" key
+        (None, ["plot", str(header_only), "--x", "k", "--y", "ratio",
+                "--out", str(tmp_path / "header.svg")], "CSV has no data rows"),
+        (None, ["estimate", "--body", "cube", "--n", "4", "--N", "0", "--k", "1"],
+         "sample count must be >= 1"),
+        (None, ["estimate", "--body", "cube", "--n", "4", "--N", "10", "--k", "1", "--M", "1"],
+         "need at least 2 flags"),
+    ):
+        if cfg is not None:
+            cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"polyradii: error: {message}" in captured.err and captured.out == ""
+    assert not out.exists() and not (tmp_path / "header.svg").exists()
     # inputs too large to allocate (6.94 and 4.44 EiB, beyond any address space; the
     # second fails in gaussian's replica lanes) and a CSV field over the csv module's
     # limit exit 1 with a message, not a traceback
@@ -374,6 +404,17 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
         captured = capsys.readouterr()
         assert f"polyradii: error: {message}" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_python_m_polyradii_matches_cli_main(capsys):
+    # __main__.py is the module entry point: its stdout is cli.main's, byte for byte
+    argv = ["estimate", "--body", "cube", "--n", "16", "--N", "256", "--k", "4", "--M", "64",
+            "--seed", "7"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "polyradii", *argv], env=env, capture_output=True)
+    assert cli.main(argv) == 0
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 def test_cli_gaussian(capsys):
