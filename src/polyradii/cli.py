@@ -129,7 +129,7 @@ def _cmd_gaussian(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    config = load_config(args.config) if args.config else default_check_config()
+    config = load_config(args.config, check=True) if args.config else default_check_config()
     config = _override(config, seed=args.seed)
     results = consistency_checks(config, q=args.q)
     failed = False

@@ -11,9 +11,6 @@ a k-dimensional Gaussian.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,17 +18,12 @@ from scipy.special import gammaincc, gammaln
 
 from .estimates import Estimate, mean_and_stderr
 from .grassmann import haar_frames
+from .parallel import lane_count, run_lanes
 from .radii import _BLOCK, projected_sq_norms
 from .streams import StreamKey, standard_normal
 
 _ABS_TOL = 1e-9  # absolute error target of expected_max_chi
 _CLOUDS = 1 << 22  # bound on lanes * N * n when projected_max_mc runs 2+ lanes, in float64s
-# Helper threads for lanes 1.. of projected_max_mc, made on first use and then reused:
-# a pool made per call raised the peak RSS of the gaussian benchmark by up to 8%.
-# It is sized from os.cpu_count(), which no affinity mask exceeds, and starts a
-# thread only when a call needs one more than it has.
-_helpers: ThreadPoolExecutor | None = None
-_helpers_lock = threading.Lock()
 
 
 def expected_max_chi(k: int, N: int) -> float:
@@ -119,18 +111,11 @@ def gaussian_cloud(n: int, N: int, key: StreamKey) -> np.ndarray:
     return standard_normal(key.child(0), N * n).reshape(N, n)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _lanes(n: int, N: int, replicas: int) -> int:
     """Lanes of projected_max_mc: one per usable CPU and at most one per
     replica, but only as many as keep their (N, n) clouds within _CLOUDS
     floats together; one lane when a single cloud needs more."""
-    return min(_usable_cpus(), replicas, max(1, _CLOUDS // (N * n)))
+    return lane_count(min(replicas, max(1, _CLOUDS // (N * n))))
 
 
 def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> Estimate:
@@ -140,66 +125,31 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
     targets the full expectation over both sources of randomness, which by
     rotation invariance equals expected_max_chi(k, N).  Replica i's cloud comes
     from key.child(i) and its frame from key.child(i).child(1), and it writes
-    only vals[i].  The replicas run in _lanes(n, N, replicas) lanes: the
-    calling thread runs lane 0 and reused helper threads the rest.  A lane that
-    comes free takes the next block of replicas not yet taken, 1 / (2 lanes)
-    of the replicas left, rounded up, so the blocks shrink towards the end and
-    a lane on a busy CPU runs fewer of them instead of holding up the call.
-    Each lane holds one cloud at a time, and briefly twice its size while the
-    cloud is drawn (the raw words and the floats).  With several lanes the
-    clouds together hold at most _CLOUDS floats, so lanes add less than
-    2 * _CLOUDS floats (64 MiB) to a single lane's memory.  The frame blocks of
-    all lanes together hold at most radii._BLOCK floats (one replica per block
-    when a frame needs more).  A frame has the same bits at any block size and
-    the mean reduces vals in index order, so the result has the same bits at
-    any lane count.  An error in any lane stops the other lanes at their next
-    replica; once all lanes have stopped, the calling thread's error is raised,
-    else the first helper's in the order they were started.
+    only vals[i].  The replicas run through parallel.run_lanes in
+    _lanes(n, N, replicas) lanes, whose shrinking blocks of replicas each draw
+    their frames as one stack.  Each lane holds one cloud at a time, and
+    briefly twice its size while the cloud is drawn (the raw words and the
+    floats).  With several lanes the clouds together hold at most _CLOUDS
+    floats, so lanes add less than 2 * _CLOUDS floats (64 MiB) to a single
+    lane's memory.  The frame blocks of all lanes together hold at most
+    radii._BLOCK floats (one replica per block when a frame needs more).  A
+    frame has the same bits at any block size and the mean reduces vals in
+    index order, so the result has the same bits at any lane count.  An error
+    in any lane stops the other lanes at their next replica.
     """
-    global _helpers
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     lanes = _lanes(n, N, replicas)
-    cap = max(1, _BLOCK // (lanes * n * k))
     vals = np.empty(replicas)
-    failed = threading.Event()
-    taken = 0
-    take = threading.Lock()
 
-    def next_block() -> tuple[int, int]:
-        nonlocal taken
-        with take:
-            start, left = taken, replicas - taken
-            taken += min(cap, -(-left // (2 * lanes)))
-            return start, taken
+    def block(lane: int, start: int, stop: int):
+        keys = [key.child(i).child(1) for i in range(start, stop)]
+        for i, frame in enumerate(haar_frames(n, k, keys), start):
+            yield
+            pts = gaussian_cloud(n, N, key.child(i))
+            vals[i] = np.sqrt(np.max(projected_sq_norms(pts, frame, [k])))
 
-    def lane() -> None:
-        try:
-            while not failed.is_set():
-                start, stop = next_block()
-                if start == stop:
-                    return
-                keys = [key.child(i).child(1) for i in range(start, stop)]
-                for i, frame in enumerate(haar_frames(n, k, keys), start):
-                    if failed.is_set():
-                        return
-                    pts = gaussian_cloud(n, N, key.child(i))
-                    vals[i] = np.sqrt(np.max(projected_sq_norms(pts, frame, [k])))
-        except BaseException:
-            failed.set()
-            raise
-
-    if lanes > 1:
-        with _helpers_lock:
-            if _helpers is None:
-                _helpers = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="polyradii-lane")
-    helpers = [_helpers.submit(lane) for _ in range(1, lanes)]
-    try:
-        lane()
-    finally:
-        wait(helpers)
-    for helper in helpers:
-        helper.result()
+    run_lanes(block, replicas, lanes, max(1, _BLOCK // (lanes * n * k)))
     return mean_and_stderr(vals)

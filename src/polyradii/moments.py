@@ -15,11 +15,17 @@ import numpy as np
 from .bodies import Body, isotropic_constant, sample_points
 from .estimates import Estimate, mean_and_stderr, power_estimate
 from .grassmann import haar_frames, haar_subspace, sphere_marginal_moment, sphere_points
+from .parallel import lane_count, run_lanes
 from .radii import projected_sq_norms
 from .streams import StreamKey
 
 MIN_SAMPLES = 100  # fewest points (and subspaces) a moment estimate takes
 _DIRECTIONS = 64  # directions inside F per -q mean width
+# directions projected at once per subspace: each lane holds (m, 16) floats of
+# scratch, not an (m, 64) temporary.  A 16-column product has the bits of those
+# columns of the full product (checked at n = 16..128); one column would go
+# through gemv and would not
+_DIRECTION_CHUNK = 16
 
 
 def moment(body: Body, q: float, m: int, key: StreamKey) -> Estimate:
@@ -61,7 +67,9 @@ def grassmann_moment_avg(
     between-subspace noise; the reported stderr splits the variance into a
     subspace component and a point component and adds them, which slightly
     overcounts and is therefore conservative.  The reference I_q(K) is exact
-    for the ball and an independent Monte Carlo estimate otherwise.
+    for the ball and an independent Monte Carlo estimate otherwise.  The M
+    frames are projected as one stack, which projected_sq_norms runs in lanes;
+    each subspace's row has the bits of its own projection.
     """
     n = body.dim
     if not 1 <= k <= n:
@@ -72,9 +80,14 @@ def grassmann_moment_avg(
         raise ValueError(f"need at least {MIN_SAMPLES} subspaces and samples")
     pts = sample_points(body, m, key.child(0))
     frames = haar_frames(n, k, [key.child(1).child(i) for i in range(M)])
-    powers = np.empty((M, m))
-    for i, frame in enumerate(frames):
-        powers[i] = np.sqrt(projected_sq_norms(pts, frame, [k])[:, 0]) ** q
+    if body.kind == "ball":
+        iq = Estimate(ball_moment_exact(body, q), 0.0)
+    else:
+        iq = moment(body, q, m, key.child(2))
+    # in place on the stack's own (M, m) result: the same ** dispatch as per frame
+    powers = projected_sq_norms(pts, frames, [k])[..., 0]
+    np.sqrt(powers, out=powers)
+    powers **= q
     total = float(np.mean(powers))
     per_subspace = np.mean(powers, axis=1)
     per_point = np.mean(powers, axis=0)
@@ -82,10 +95,6 @@ def grassmann_moment_avg(
     estimate = power_estimate(Estimate(total, float(np.sqrt(var))), 1.0 / q)
 
     mratio = (sphere_marginal_moment(n, q) / sphere_marginal_moment(k, q)) ** (1.0 / q)
-    if body.kind == "ball":
-        iq = Estimate(ball_moment_exact(body, q), 0.0)
-    else:
-        iq = moment(body, q, m, key.child(2))
     return GrassmannMomentAvg(estimate, Estimate(iq.value * mratio, iq.stderr * mratio), iq)
 
 
@@ -155,6 +164,10 @@ def centroid_width_check(
     For each of M Haar subspaces F the left side is the Monte Carlo
     I_{-q}(K,F); the right side integrates h_{Z_q(K)} over directions inside
     F (the projection of Z_q onto F has exactly that support restriction).
+    The frames and directions are drawn in the calling thread, the left sides
+    come from one stacked projection, and the right sides run in lanes
+    (run_lanes), _DIRECTION_CHUNK directions at a time; every ratio
+    has the bits of a loop over the subspaces.
     """
     n = body.dim
     if int(q) != q or q < 1:
@@ -169,17 +182,33 @@ def centroid_width_check(
     if M < 2 or m < MIN_SAMPLES:
         raise ValueError("insufficient sample counts")
     pts = sample_points(body, m, key.child(0))
-    lhs = np.empty(M)
+    frames = np.stack([haar_subspace(n, k, key.child(1).child(i)) for i in range(M)])
+    inner = [sphere_points(k, _DIRECTIONS, key.child(2).child(i)) for i in range(M)]
+    # in place on the stack's own (M, m) result: the same ** dispatch as per frame
+    powers = projected_sq_norms(pts, frames, [k])[..., 0]
+    np.sqrt(powers, out=powers)
+    powers **= -q
+    lhs = np.array([np.mean(row) ** (-1.0 / q) for row in powers])
+    del powers
     rhs = np.empty(M)
-    for i in range(M):
-        frame = haar_subspace(n, k, key.child(1).child(i))
-        nrm = np.sqrt(projected_sq_norms(pts, frame, [k])[:, 0])
-        lhs[i] = np.mean(nrm ** (-q)) ** (-1.0 / q)
-        inner = sphere_points(k, _DIRECTIONS, key.child(2).child(i))
-        dirs = frame @ inner.T
-        hq = np.mean(np.abs(pts @ dirs) ** q, axis=0)
-        width_neg = np.mean(1.0 / hq) ** (-1.0 / q)
-        rhs[i] = np.sqrt(k / q) * width_neg
+    lanes = lane_count(M)
+    scratch = np.empty((lanes, m, _DIRECTION_CHUNK))
+
+    def block(lane: int, start: int, stop: int):
+        # numpy only, so a helper lane runs none of the package's public functions
+        proj = scratch[lane]
+        for i in range(start, stop):
+            yield
+            dirs = frames[i] @ inner[i].T
+            hq = np.empty(_DIRECTIONS)
+            for c in range(0, _DIRECTIONS, _DIRECTION_CHUNK):
+                np.matmul(pts, dirs[:, c : c + _DIRECTION_CHUNK], out=proj)
+                np.abs(proj, out=proj)
+                proj **= q
+                hq[c : c + _DIRECTION_CHUNK] = np.mean(proj, axis=0)
+            rhs[i] = np.sqrt(k / q) * np.mean(1.0 / hq) ** (-1.0 / q)
+
+    run_lanes(block, M, lanes, M)
     avg_neg = float(np.mean(lhs ** (-q)) ** (-1.0 / q))
     iq_neg = moment(body, -float(q), m, key.child(3)).value
     grassmann_neg_ratio = avg_neg / (np.sqrt(k / n) * iq_neg)

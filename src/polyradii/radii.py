@@ -12,6 +12,7 @@ import numpy as np
 
 from .estimates import Estimate
 from .grassmann import haar_frames
+from .parallel import lane_count, run_lanes
 from .streams import StreamKey
 
 _BLOCK = 1 << 16  # bound on B * max(N, n) * kmax for a block of B flags, in float64s
@@ -60,19 +61,45 @@ def projected_sq_norms(points: np.ndarray, frames: np.ndarray, ks) -> np.ndarray
     ``frames`` is one (n, k) frame or a (B, n, k) stack, which gives a
     (B, N, len(ks)) result whose slice b equals the result for frames[b] alone.
 
+    A stack is projected in chunks of slices whose (chunk, N, max(ks))
+    temporary holds at most _BLOCK floats, one slice when a single slice needs
+    more; the chunks run through run_lanes, each lane projecting into its own
+    chunk of scratch and writing only its own slices of the result.  A stack
+    that fits in one chunk runs as one chunk on the calling thread.
+
     The sums have the bits of np.cumsum(np.add.reduceat(sq, [0, *ks[:-1]])):
     segments of at most _PAIRWISE_LINEAR columns are summed as column adds in
     reduceat's order (the first column plus the rest added left to right),
     longer ones by reduceat itself, and the prefix sums are column adds.
     """
-    sq = points @ frames[..., : ks[-1]]
+    N, kmax = points.shape[0], ks[-1]
+    out = np.empty(frames.shape[:-2] + (N, len(ks)))
+    chunk = max(1, _BLOCK // (N * kmax))
+    if frames.ndim == 2 or len(frames) <= chunk:
+        _sum_segments(points @ frames[..., :kmax], ks, out)
+        return out
+
+    lanes = lane_count(-(-len(frames) // chunk))
+    scratch = np.empty((lanes, chunk, N, kmax))
+
+    def block(lane: int, start: int, stop: int):
+        yield
+        sq = np.matmul(points, frames[start:stop, :, :kmax], out=scratch[lane, : stop - start])
+        _sum_segments(sq, ks, out[start:stop])
+
+    run_lanes(block, len(frames), lanes, chunk)
+    return out
+
+
+def _sum_segments(sq: np.ndarray, ks, out: np.ndarray) -> None:
+    """Square the projections sq in place and write their segment prefix sums
+    to out, as projected_sq_norms documents; numpy only."""
     np.square(sq, out=sq)
     bounds = [0, *ks]
     segments = list(zip(bounds[:-1], bounds[1:]))
     if max(hi - lo for lo, hi in segments) > _PAIRWISE_LINEAR:
-        out = np.add.reduceat(sq, bounds[:-1], axis=-1)
+        np.add.reduceat(sq, bounds[:-1], axis=-1, out=out)
     else:
-        out = np.empty(sq.shape[:-1] + (len(ks),))
         for j, (lo, hi) in enumerate(segments):
             if hi - lo == 1:
                 out[..., j] = sq[..., lo]
@@ -83,7 +110,6 @@ def projected_sq_norms(points: np.ndarray, frames: np.ndarray, ks) -> np.ndarray
                 np.add(sq[..., lo], rest, out=out[..., j])
     for j in range(1, len(ks)):
         out[..., j] += out[..., j - 1]
-    return out
 
 
 def radius_profile(

@@ -262,3 +262,19 @@ def test_criterion_10_gaussian_bytes_at_one_and_all_cpus():
         every = subprocess.run([sys.executable, "-m", "polyradii", *args], capture_output=True)
         assert one.returncode == every.returncode, (one.stderr, every.stderr)
         assert one.stdout == every.stdout and one.stdout
+
+
+def test_criterion_10_check_bytes_at_one_and_all_cpus():
+    usable = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(usable) < 2:
+        pytest.skip("needs 2 usable CPUs and an affinity mask to confine a child to one")
+    with criterion(10, "byte-identical check reports on one CPU and on all CPUs"):
+        # the child confines itself and then execs the command, which keeps the
+        # affinity mask; no code runs between fork and exec in this threaded process
+        confine = ("import os, sys; os.sched_setaffinity(0, {int(sys.argv[1])}); "
+                   "os.execv(sys.executable, [sys.executable, '-m', 'polyradii', *sys.argv[2:]])")
+        one = subprocess.run([sys.executable, "-c", confine, str(usable[0]), "check"],
+                             capture_output=True)
+        every = subprocess.run([sys.executable, "-m", "polyradii", "check"], capture_output=True)
+        assert one.returncode == every.returncode == 0, (one.stderr, every.stderr)
+        assert one.stdout == every.stdout and one.stdout

@@ -11,7 +11,7 @@ from scipy.stats import kstest, norm
 
 from conftest import chi_max_mc
 from oracles import GAUSSIAN_RATIO_BAND, GAUSSIAN_RATIO_CALIBRATION, chi_cdf
-from polyradii import gaussian
+from polyradii import gaussian, parallel
 from polyradii.estimates import mean_and_stderr
 from polyradii.gaussian import (
     expected_max_chi,
@@ -161,7 +161,7 @@ def test_blocked_projected_max_mc_equals_per_replica_loop(key, monkeypatch):
         sys.setswitchinterval(1e-5)
         try:
             for lanes in (1, 2, 3):
-                monkeypatch.setattr(gaussian, "_usable_cpus", lambda: lanes)
+                monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
                 assert projected_max_mc(n, k, N, replicas, key) == mean_and_stderr(vals)
         finally:
             sys.setswitchinterval(interval)
@@ -171,7 +171,7 @@ def test_lanes_keep_the_clouds_within_budget(key, monkeypatch):
     # at 32 usable CPUs small clouds get one lane per CPU, at most one per
     # replica; larger (N, n) clouds share _CLOUDS floats, down to a single lane
     # once one cloud alone needs more (10^7 x 16 floats are 1.28 GB)
-    monkeypatch.setattr(gaussian, "_usable_cpus", lambda: 32)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 32)
     assert gaussian._CLOUDS == 1 << 22
     assert gaussian._lanes(64, 1000, 128) == 32
     assert gaussian._lanes(64, 1000, 5) == 5
@@ -190,12 +190,12 @@ def test_lanes_keep_the_clouds_within_budget(key, monkeypatch):
         time.sleep(0.02)
         return real_cloud(n, N, cloud_key)
 
-    monkeypatch.setattr(gaussian, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(gaussian, "gaussian_cloud", cloud)
     # a pool of its own with a helper for each lane after the first, whatever
     # os.cpu_count() says on this host
     with ThreadPoolExecutor(2) as helpers:
-        monkeypatch.setattr(gaussian, "_helpers", helpers)
+        monkeypatch.setattr(parallel, "_helpers", helpers)
         results = []
         for clouds in (3, 2, 1):
             monkeypatch.setattr(gaussian, "_CLOUDS", clouds * 20 * 8)
@@ -213,7 +213,7 @@ def test_projected_max_mc_stops_every_lane_on_error(key, monkeypatch):
     # stops at its next replica, and no lane runs once the error is raised
     real_cloud = gaussian.gaussian_cloud
     replica = {key.child(i): i for i in range(8)}
-    monkeypatch.setattr(gaussian, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     for fail_in_caller in (False, True):
         calls, running, failed = [], [], []
 

@@ -1,0 +1,237 @@
+"""The lane runner and the loops that run on it.
+
+Every loop that runs in lanes must give the same bits at any lane count, so
+each test compares 1, 2 and 3 lanes against a plain loop with ``==``.  A short
+switch interval makes the lanes' threads interleave often, so a lost or
+misplaced write shows.
+"""
+
+import contextlib
+import importlib
+import inspect
+import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from polyradii import parallel, radii
+from polyradii.bodies import KINDS, make_body, sample_points
+from polyradii.estimates import Estimate, power_estimate
+from polyradii.grassmann import haar_frames, haar_subspace, sphere_marginal_moment, sphere_points
+from polyradii.moments import (
+    ball_moment_exact,
+    centroid_width_check,
+    grassmann_moment_avg,
+    moment,
+)
+from polyradii.radii import _BLOCK, projected_sq_norms
+from polyradii.sweep import SweepConfig, consistency_checks
+
+
+@contextlib.contextmanager
+def _short_switch_interval():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_stacked_sq_norms_in_lanes_equal_the_per_slice_calls(key, monkeypatch):
+    # 1000 x 16 projections are 16000 floats, so chunks of 4 slices: 30 slices
+    # make 8 chunks; one 5000 x 16 slice alone exceeds _BLOCK.  ks [3, 16] sums
+    # a 13-column segment with reduceat, [1, 4, 8, 16] by column adds
+    real = radii._sum_segments
+    threads = set()
+
+    def sum_segments(sq, ks, out):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)
+        real(sq, ks, out)
+
+    monkeypatch.setattr(radii, "_sum_segments", sum_segments)
+    assert _BLOCK // (1000 * 16) == 4 and 5000 * 16 > _BLOCK
+    with _short_switch_interval():
+        for N, B in ((1000, 30), (5000, 7)):
+            pts = sample_points(make_body("cross", 16), N, key.child(N))
+            frames = haar_frames(16, 16, [key.child(B).child(i) for i in range(B)])
+            for ks in ([3, 16], [1, 4, 8, 16]):
+                expected = np.stack([projected_sq_norms(pts, frame, ks) for frame in frames])
+                for lanes in (1, 2, 3):
+                    monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
+                    threads.clear()
+                    got = projected_sq_norms(pts, frames, ks)
+                    assert got.shape == (B, N, len(ks))
+                    assert np.array_equal(got, expected)
+                    assert len(threads) == lanes
+
+
+def _grassmann_reference(body, k, q, M, m, key):
+    """grassmann_moment_avg as one projection per subspace."""
+    n = body.dim
+    pts = sample_points(body, m, key.child(0))
+    frames = haar_frames(n, k, [key.child(1).child(i) for i in range(M)])
+    powers = np.empty((M, m))
+    for i, frame in enumerate(frames):
+        powers[i] = np.sqrt(projected_sq_norms(pts, frame, [k])[:, 0]) ** q
+    per_subspace = np.mean(powers, axis=1)
+    per_point = np.mean(powers, axis=0)
+    var = np.var(per_subspace, ddof=1) / M + np.var(per_point, ddof=1) / m
+    estimate = power_estimate(Estimate(float(np.mean(powers)), float(np.sqrt(var))), 1.0 / q)
+    mratio = (sphere_marginal_moment(n, q) / sphere_marginal_moment(k, q)) ** (1.0 / q)
+    if body.kind == "ball":
+        iq = Estimate(ball_moment_exact(body, q), 0.0)
+    else:
+        iq = moment(body, q, m, key.child(2))
+    return estimate, Estimate(iq.value * mratio, iq.stderr * mratio), iq
+
+
+def _centroid_reference(body, k, q, M, m, key):
+    """centroid_width_check as one subspace at a time, all 64 directions at once."""
+    n = body.dim
+    pts = sample_points(body, m, key.child(0))
+    lhs, rhs = np.empty(M), np.empty(M)
+    for i in range(M):
+        frame = haar_subspace(n, k, key.child(1).child(i))
+        nrm = np.sqrt(projected_sq_norms(pts, frame, [k])[:, 0])
+        lhs[i] = np.mean(nrm ** (-q)) ** (-1.0 / q)
+        dirs = frame @ sphere_points(k, 64, key.child(2).child(i)).T
+        hq = np.mean(np.abs(pts @ dirs) ** q, axis=0)
+        rhs[i] = np.sqrt(k / q) * np.mean(1.0 / hq) ** (-1.0 / q)
+    avg_neg = float(np.mean(lhs ** (-q)) ** (-1.0 / q))
+    iq_neg = moment(body, -float(q), m, key.child(3)).value
+    return lhs / rhs, avg_neg / (np.sqrt(k / n) * iq_neg)
+
+
+def test_subspace_moments_in_lanes_equal_the_per_subspace_loop(key, monkeypatch):
+    # 2000 points: chunks of 32, 4 and 2 subspaces at k = 1, 8 and 16 for the
+    # Grassmannian average, of 4 subspaces for the centroid check's left side
+    with _short_switch_interval():
+        for b, kind in enumerate(KINDS):
+            body = make_body(kind, 16)
+            for k in (1, 8, 16):
+                for j, q in enumerate((1.0, 2.0, math.log(256))):
+                    sub = key.child(b).child(k).child(j)
+                    expected = _grassmann_reference(body, k, q, 100, 2000, sub)
+                    for lanes in (1, 2, 3):
+                        monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
+                        ga = grassmann_moment_avg(body, k, q, 100, 2000, sub)
+                        assert (ga.estimate, ga.reference, ga.iq) == expected
+            for q in (1, 2):
+                sub = key.child(b).child(0).child(q)
+                ratios, neg_ratio = _centroid_reference(body, 8, q, 20, 2000, sub)
+                for lanes in (1, 2, 3):
+                    monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
+                    report = centroid_width_check(body, 8, q, 20, 2000, sub)
+                    assert np.array_equal(report.ratios, ratios)
+                    assert report.grassmann_neg_ratio == neg_ratio
+
+
+def test_run_lanes_covers_every_index_once():
+    # blocks of 1 / (2 lanes) of what is left, at most cap: 100 indexes at 3
+    # lanes and cap 10 are 10, 10, 10, 10, 10, 9, 7, 6, ... in whichever lane.
+    # Each lane number stays on one thread, lane 0 on the calling one, so a
+    # lane's scratch is never shared
+    for lanes, cap in ((1, 100), (2, 7), (3, 10)):
+        hits = np.zeros(100, dtype=int)
+        blocks = []
+        threads = {}
+
+        def block(lane, start, stop):
+            blocks.append(stop - start)
+            threads.setdefault(lane, set()).add(threading.get_ident())
+            for i in range(start, stop):
+                yield
+                hits[i] += 1
+                time.sleep(0.001)
+
+        with _short_switch_interval():
+            parallel.run_lanes(block, 100, lanes, cap)
+        assert np.all(hits == 1)
+        assert max(blocks) <= cap and sum(blocks) == 100
+        assert set(threads) <= set(range(lanes))
+        assert threads[0] == {threading.get_ident()}
+        assert all(len(idents) == 1 for idents in threads.values())
+        assert len(set.union(*threads.values())) == len(threads)
+    assert sorted(blocks, reverse=True)[:8] == [10, 10, 10, 10, 10, 9, 7, 6]
+
+
+def test_run_lanes_stops_every_lane_on_error(monkeypatch):
+    # 2 lanes take the blocks 0-1, 2-3, 4, 5, 6 and 7 as they come free: the
+    # first index a helper runs fails, and then the first one the calling
+    # thread runs, each while the other lane sleeps inside an index; that lane
+    # stops at its next index, and no lane runs once the error is raised
+    for fail_in_caller in (False, True):
+        calls, running, failed = [], [], []
+
+        def block(lane, start, stop):
+            for i in range(start, stop):
+                yield
+                calls.append(i)
+                running.append(1)
+                try:
+                    in_caller = threading.current_thread() is threading.main_thread()
+                    if in_caller == fail_in_caller and not failed:
+                        failed.append(i)
+                        time.sleep(0.05)
+                        raise RuntimeError(f"index {i}")
+                    time.sleep(0.1)
+                finally:
+                    running.pop()
+
+        with ThreadPoolExecutor(1) as helpers:
+            monkeypatch.setattr(parallel, "_helpers", helpers)
+            with pytest.raises(RuntimeError, match="index") as raised:
+                parallel.run_lanes(block, 8, 2, 8)
+            returned = list(calls)
+            assert not running
+            time.sleep(0.1)
+        assert str(raised.value) == f"index {failed[0]}"
+        assert calls == returned and 7 not in calls
+
+
+def test_check_runs_the_public_functions_on_the_calling_thread(monkeypatch):
+    # bench/tracing.py keeps one span stack for every thread, so a public
+    # function run from a helper lane would get a wrong parent span and the
+    # trace's self times could sum past its wall time.  Wrap every public
+    # function of the layers check runs, wherever the package refers to it,
+    # and run the suite at 3 lanes: each call must come from the calling
+    # thread, while the lanes' numpy work still runs on helper threads
+    calls, helper_work = [], set()
+    wrappers = {}
+    for layer in ("streams", "bodies", "grassmann", "radii", "moments", "sweep"):
+        module = importlib.import_module(f"polyradii.{layer}")
+        for name, fn in vars(module).items():
+            public = not name.startswith("_") and inspect.isfunction(fn)
+            if public and fn.__module__ == module.__name__:
+                def traced(*args, _fn=fn, **kwargs):
+                    calls.append((_fn.__name__, threading.get_ident()))
+                    return _fn(*args, **kwargs)
+                wrappers[fn] = traced
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polyradii."):
+            for attr, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and obj in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[obj])
+    real = radii._sum_segments
+
+    def sum_segments(sq, ks, out):
+        helper_work.add(threading.get_ident())
+        time.sleep(0.001)
+        real(sq, ks, out)
+
+    monkeypatch.setattr(radii, "_sum_segments", sum_segments)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 3)
+    config = SweepConfig(body="cube", n=8, N_list=[64], k_list=[1], M=8, R=1, m=2000)
+    results = consistency_checks(config)
+    assert len(results) == 9
+    caller = threading.get_ident()
+    assert {"projected_sq_norms", "grassmann_moment_avg", "centroid_width_check"} <= {
+        name for name, _ in calls}
+    assert {ident for _, ident in calls} == {caller}
+    assert len(helper_work - {caller}) >= 1

@@ -440,6 +440,24 @@ def test_cli_check_exit_codes(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_check_config_validates_only_what_check_reads(tmp_path, capsys):
+    # check reads body, n, the first N_list entry, M, m and seed: a k_list entry
+    # outside 1..n or a later N_list entry below n is a sweep error only.  Both
+    # configs hold the default check config's values in the fields check reads
+    assert cli.main(["check"]) == 0
+    default = capsys.readouterr().out
+    base = {"body": "cube", "n": 16, "N_list": [256], "k_list": [1], "M": 32, "R": 3, "m": 20000}
+    cfg_path = tmp_path / "check.json"
+    for key, value in (("k_list", [17]), ("N_list", [256, 8])):
+        cfg_path.write_text(json.dumps({**base, key: value}))
+        assert cli.main(["check", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == default
+    # the first N_list entry is read, so it is still validated
+    cfg_path.write_text(json.dumps({**base, "N_list": [8, 256]}))
+    assert cli.main(["check", "--config", str(cfg_path)]) == 1
+    assert "N_list entries must be >= n" in capsys.readouterr().err
+
+
 def test_default_check_config_is_valid():
     cfg = default_check_config()
     assert cfg.body == "cube" and cfg.n == 16
