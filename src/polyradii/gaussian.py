@@ -23,7 +23,6 @@ from .radii import _BLOCK, projected_sq_norms
 from .streams import StreamKey, standard_normal
 
 _ABS_TOL = 1e-9  # absolute error target of expected_max_chi
-_CLOUDS = 1 << 22  # bound on lanes * N * n when projected_max_mc runs 2+ lanes, in float64s
 
 
 def expected_max_chi(k: int, N: int) -> float:
@@ -111,13 +110,6 @@ def gaussian_cloud(n: int, N: int, key: StreamKey) -> np.ndarray:
     return standard_normal(key.child(0), N * n).reshape(N, n)
 
 
-def _lanes(n: int, N: int, replicas: int) -> int:
-    """Lanes of projected_max_mc: one per usable CPU and at most one per
-    replica, but only as many as keep their (N, n) clouds within _CLOUDS
-    floats together; one lane when a single cloud needs more."""
-    return lane_count(min(replicas, max(1, _CLOUDS // (N * n))))
-
-
 def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> Estimate:
     """Monte Carlo of the expected k-th mean outer radius of Gaussian clouds.
 
@@ -125,23 +117,18 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
     targets the full expectation over both sources of randomness, which by
     rotation invariance equals expected_max_chi(k, N).  Replica i's cloud comes
     from key.child(i) and its frame from key.child(i).child(1), and it writes
-    only vals[i].  The replicas run through parallel.run_lanes in
-    _lanes(n, N, replicas) lanes, whose shrinking blocks of replicas each draw
-    their frames as one stack.  Each lane holds one cloud at a time, and
-    briefly twice its size while the cloud is drawn (the raw words and the
-    floats).  With several lanes the clouds together hold at most _CLOUDS
-    floats, so lanes add less than 2 * _CLOUDS floats (64 MiB) to a single
-    lane's memory.  The frame blocks of all lanes together hold at most
-    radii._BLOCK floats (one replica per block when a frame needs more).  A
-    frame has the same bits at any block size and the mean reduces vals in
-    index order, so the result has the same bits at any lane count.  An error
-    in any lane stops the other lanes at their next replica.
+    only vals[i].  The replicas run in parallel.lane_count lanes, each holding
+    one (N, n) cloud at a time, and in shrinking blocks whose frames, drawn as
+    one stack, hold at most radii._BLOCK floats over all lanes (one replica
+    per block when a frame needs more).  A frame has the same bits at any
+    block size and the mean reduces vals in index order, so the result has the
+    same bits at any lane count.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    lanes = _lanes(n, N, replicas)
+    lanes = lane_count(replicas, N * n)
     vals = np.empty(replicas)
 
     def block(lane: int, start: int, stop: int):

@@ -191,7 +191,7 @@ def centroid_width_check(
     lhs = np.array([np.mean(row) ** (-1.0 / q) for row in powers])
     del powers
     rhs = np.empty(M)
-    lanes = lane_count(M)
+    lanes = lane_count(M, m * _DIRECTION_CHUNK)
     scratch = np.empty((lanes, m, _DIRECTION_CHUNK))
 
     def block(lane: int, start: int, stop: int):

@@ -1,10 +1,10 @@
 """Lanes: the blocks of one loop run on the calling thread and reused helper threads.
 
-Every parallel loop of the package goes through run_lanes.  A loop that runs
-there writes each of its slots from exactly one lane and reduces them in index
-order afterwards, so its result has the same bits at any lane count.  The
-lanes are threads of one process: numpy releases the interpreter lock in the
-stream words, the inverse normal and the GEMM, which is where the time goes.
+lane_count decides how many lanes every loop of the package runs and
+run_lanes runs them.  A loop writes each of its slots from exactly one lane
+and reduces them in index order afterwards, so its result has the same bits at
+any lane count.  numpy releases the interpreter lock in the stream words, the
+inverse normal and the GEMM, which is where the time goes.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import os
 import threading
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
+
+_LANE_FLOATS = 1 << 22  # bound on the scratch of 2+ lanes together, in float64s (32 MiB)
 
 # Helper threads for lanes 1.., made on first use and then reused: a pool made
 # per call raised the peak RSS of the gaussian benchmark by up to 8%.  It is
@@ -29,9 +31,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def lane_count(most: int) -> int:
-    """Lanes for a loop that can use at most ``most``: one per usable CPU."""
-    return min(most, _usable_cpus())
+def lane_count(most: int, lane_floats: int) -> int:
+    """Lanes for a loop that can use at most ``most``, each holding ``lane_floats``
+    floats of scratch: one per usable CPU, but only as many as keep their scratch
+    within _LANE_FLOATS together, and one when a single lane needs more."""
+    return min(most, _usable_cpus(), max(1, _LANE_FLOATS // lane_floats))
 
 
 def run_lanes(
@@ -48,9 +52,8 @@ def run_lanes(
     step or block.  When every lane has stopped, the calling thread's error is
     raised, else the first helper's in the order they were started.
 
-    ``lane`` lets a block write into the caller's scratch for that lane: a
-    large array that a helper allocates and frees stays resident in its
-    thread's malloc arena, and raised check-suite's peak RSS by about 6 MB.
+    ``lane`` indexes the caller's scratch for that lane: a large array that a
+    helper frees stays resident in its thread's malloc arena.
     A block must not call run_lanes: a helper that waited on helpers could
     wait on itself once the pool is busy.
     """

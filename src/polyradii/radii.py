@@ -79,7 +79,7 @@ def projected_sq_norms(points: np.ndarray, frames: np.ndarray, ks) -> np.ndarray
         _sum_segments(points @ frames[..., :kmax], ks, out)
         return out
 
-    lanes = lane_count(-(-len(frames) // chunk))
+    lanes = lane_count(-(-len(frames) // chunk), chunk * N * kmax)
     scratch = np.empty((lanes, chunk, N, kmax))
 
     def block(lane: int, start: int, stop: int):

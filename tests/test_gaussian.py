@@ -169,16 +169,16 @@ def test_blocked_projected_max_mc_equals_per_replica_loop(key, monkeypatch):
 
 def test_lanes_keep_the_clouds_within_budget(key, monkeypatch):
     # at 32 usable CPUs small clouds get one lane per CPU, at most one per
-    # replica; larger (N, n) clouds share _CLOUDS floats, down to a single lane
-    # once one cloud alone needs more (10^7 x 16 floats are 1.28 GB)
+    # replica; larger (N, n) clouds share _LANE_FLOATS floats, down to a single
+    # lane once one cloud alone needs more (10^7 x 16 floats are 1.28 GB)
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 32)
-    assert gaussian._CLOUDS == 1 << 22
-    assert gaussian._lanes(64, 1000, 128) == 32
-    assert gaussian._lanes(64, 1000, 5) == 5
-    assert gaussian._lanes(16, 1 << 16, 128) == 4
-    assert gaussian._lanes(16, 1 << 18, 128) == 1
-    assert gaussian._lanes(16, 10**7, 128) == 1
-    # projected_max_mc runs its clouds in as many threads as _lanes allows, with
+    assert parallel._LANE_FLOATS == 1 << 22
+    assert parallel.lane_count(128, 1000 * 64) == 32
+    assert parallel.lane_count(5, 1000 * 64) == 5
+    assert parallel.lane_count(128, (1 << 16) * 16) == 4
+    assert parallel.lane_count(128, (1 << 18) * 16) == 1
+    assert parallel.lane_count(128, 10**7 * 16) == 1
+    # projected_max_mc runs its clouds in as many threads as lane_count allows, with
     # the same result: 3 usable CPUs and room for 3, 2 and 1 clouds of 20 x 8;
     # the first blocks of 12 replicas hold 2 or 3 each, and each lane takes one
     # while the others sleep in theirs
@@ -198,7 +198,7 @@ def test_lanes_keep_the_clouds_within_budget(key, monkeypatch):
         monkeypatch.setattr(parallel, "_helpers", helpers)
         results = []
         for clouds in (3, 2, 1):
-            monkeypatch.setattr(gaussian, "_CLOUDS", clouds * 20 * 8)
+            monkeypatch.setattr(parallel, "_LANE_FLOATS", clouds * 20 * 8)
             threads.clear()
             results.append(projected_max_mc(8, 2, 20, 12, key))
             assert len(threads) == clouds

@@ -3,9 +3,11 @@
 No package module imports a name it never uses, ``__init__.py`` included:
 the top level exports nothing, so a re-export added there fails as an unused
 import.  Every public name a package module defines is read by some package
-module; what only the tests read lives in ``tests/``.  Only the chi quadrature
-behind ``gaussian`` loads scipy.integrate: it pulls in some 290 modules that
-every other command would pay for in start-up time and memory.
+module; what only the tests read lives in ``tests/``.  Only ``parallel``
+starts threads or counts CPUs, so the lane policy stays in one module.  Only
+the chi quadrature behind ``gaussian`` loads scipy.integrate: it pulls in some
+290 modules that every other command would pay for in start-up time and
+memory.
 """
 
 import ast
@@ -82,6 +84,26 @@ def test_bodies_imports_only_streams():
     relative = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1}
     assert relative == {"streams"}
+
+
+def test_only_parallel_decides_lanes():
+    # the lane count and its memory budget live in parallel.py: no other
+    # module starts threads or counts the CPUs it may run on
+    lane_names = {"threading", "concurrent", "cpu_count", "sched_getaffinity"}
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {(node.module or "").split(".")[0]} | {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if names & lane_names:
+                found.setdefault(path.name, set()).update(names & lane_names)
+    assert found == {"parallel.py": lane_names}
 
 
 def _probe(tmp_path: Path, commands: list[list[str]]) -> list:

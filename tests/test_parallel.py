@@ -1,9 +1,9 @@
 """The lane runner and the loops that run on it.
 
 Every loop that runs in lanes must give the same bits at any lane count, so
-each test compares 1, 2 and 3 lanes against a plain loop with ``==``.  A short
-switch interval makes the lanes' threads interleave often, so a lost or
-misplaced write shows.
+each test compares several lane counts against a plain loop or one lane with
+``==``.  A short switch interval makes the lanes' threads interleave often, so
+a lost or misplaced write shows.
 """
 
 import contextlib
@@ -18,9 +18,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from polyradii import parallel, radii
+from polyradii import gaussian, moments, parallel, radii
 from polyradii.bodies import KINDS, make_body, sample_points
 from polyradii.estimates import Estimate, power_estimate
+from polyradii.gaussian import projected_max_mc
 from polyradii.grassmann import haar_frames, haar_subspace, sphere_marginal_moment, sphere_points
 from polyradii.moments import (
     ball_moment_exact,
@@ -130,6 +131,65 @@ def test_subspace_moments_in_lanes_equal_the_per_subspace_loop(key, monkeypatch)
                     report = centroid_width_check(body, 8, q, 20, 2000, sub)
                     assert np.array_equal(report.ratios, ratios)
                     assert report.grassmann_neg_ratio == neg_ratio
+
+
+def test_every_loop_keeps_its_lanes_within_the_scratch_budget(key, monkeypatch):
+    # at 8 usable CPUs a loop runs one lane per CPU only while the lanes'
+    # scratch fits in _LANE_FLOATS together: a projected chunk of 4 slices of
+    # 1000 x 16, an m x 16 block of centroid directions, a 20 x 8 Gaussian
+    # cloud.  A budget of 20, 3, 1 and half a lane gives 8, 3, 1 and 1 lanes,
+    # each on its own thread, with the bits of one lane
+    body = make_body("cube", 16)
+    pts = sample_points(body, 1000, key.child(0))
+    frames = haar_frames(16, 16, [key.child(1).child(i) for i in range(40)])
+
+    def centroid():
+        report = centroid_width_check(body, 8, 1, 20, 2000, key.child(2))
+        return np.append(report.ratios, report.grassmann_neg_ratio)
+
+    def replicas():
+        estimate = projected_max_mc(8, 2, 20, 24, key.child(3))
+        return np.array([estimate.value, estimate.stderr])
+
+    loops = [
+        (radii, 4 * 1000 * 16, lambda: projected_sq_norms(pts, frames, [3, 16])),
+        (moments, 2000 * 16, centroid),
+        (gaussian, 20 * 8, replicas),
+    ]
+    real_run_lanes = parallel.run_lanes
+    calls = []
+
+    def traced(module):
+        # each module's calls apart: the centroid check's left side runs in radii
+        def run_lanes(block, count, lanes, cap):
+            threads = set()
+            calls.append((module, lanes, threads))
+
+            def steps(lane, start, stop):
+                for step in block(lane, start, stop):
+                    threads.add(threading.get_ident())
+                    time.sleep(0.02)
+                    yield step
+
+            real_run_lanes(steps, count, lanes, cap)
+
+        return run_lanes
+
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 8)
+    # a pool of its own with a helper for each lane after the first, whatever
+    # os.cpu_count() says on this host
+    with _short_switch_interval(), ThreadPoolExecutor(7) as helpers:
+        monkeypatch.setattr(parallel, "_helpers", helpers)
+        for module, lane_floats, run in loops:
+            monkeypatch.setattr(module, "run_lanes", traced(module))
+            monkeypatch.setattr(parallel, "_LANE_FLOATS", lane_floats)
+            expected = run()
+            for budget, lanes in ((20, 8), (3, 3), (1, 1), (0.5, 1)):
+                monkeypatch.setattr(parallel, "_LANE_FLOATS", int(budget * lane_floats))
+                calls.clear()
+                assert np.array_equal(run(), expected)
+                ran = [(n, len(threads)) for caller, n, threads in calls if caller is module]
+                assert ran == [(lanes, lanes)]
 
 
 def test_run_lanes_covers_every_index_once():
