@@ -15,16 +15,13 @@ import numpy as np
 from .bodies import Body, isotropic_constant, sample_points
 from .estimates import Estimate, mean_and_stderr, power_estimate
 from .grassmann import haar_frames, haar_subspace, sphere_marginal_moment, sphere_points
-from .parallel import lane_count, run_lanes
-from .radii import projected_sq_norms
+from .radii import _project_stack, projected_sq_norms
 from .streams import StreamKey
 
 MIN_SAMPLES = 100  # fewest points (and subspaces) a moment estimate takes
 _DIRECTIONS = 64  # directions inside F per -q mean width
-# directions projected at once per subspace: each lane holds (m, 16) floats of
-# scratch, not an (m, 64) temporary.  A 16-column product has the bits of those
-# columns of the full product (checked at n = 16..128); one column would go
-# through gemv and would not
+# directions per slice of the projected stack: a 16-column product has the bits
+# of those columns of the full product (checked at n = 16..128), a gemv would not
 _DIRECTION_CHUNK = 16
 
 
@@ -164,10 +161,9 @@ def centroid_width_check(
     For each of M Haar subspaces F the left side is the Monte Carlo
     I_{-q}(K,F); the right side integrates h_{Z_q(K)} over directions inside
     F (the projection of Z_q onto F has exactly that support restriction).
-    The frames and directions are drawn in the calling thread, the left sides
-    come from one stacked projection, and the right sides run in lanes
-    (run_lanes), _DIRECTION_CHUNK directions at a time; every ratio
-    has the bits of a loop over the subspaces.
+    Frames and directions are drawn in the calling thread; both sides project
+    the points through radii, the right side onto a stack of _DIRECTION_CHUNK
+    directions a slice.  Every ratio has the bits of a loop over the subspaces.
     """
     n = body.dim
     if int(q) != q or q < 1:
@@ -181,35 +177,28 @@ def centroid_width_check(
         raise ValueError("variance-unsafe exponent")
     if M < 2 or m < MIN_SAMPLES:
         raise ValueError("insufficient sample counts")
+    # drawn first, so its sample is freed before pts is drawn
+    iq_neg = moment(body, -float(q), m, key.child(3)).value
     pts = sample_points(body, m, key.child(0))
     frames = np.stack([haar_subspace(n, k, key.child(1).child(i)) for i in range(M)])
-    inner = [sphere_points(k, _DIRECTIONS, key.child(2).child(i)) for i in range(M)]
+    inner = np.stack([sphere_points(k, _DIRECTIONS, key.child(2).child(i)) for i in range(M)])
     # in place on the stack's own (M, m) result: the same ** dispatch as per frame
     powers = projected_sq_norms(pts, frames, [k])[..., 0]
     np.sqrt(powers, out=powers)
     powers **= -q
     lhs = np.array([np.mean(row) ** (-1.0 / q) for row in powers])
     del powers
-    rhs = np.empty(M)
-    lanes = lane_count(M, m * _DIRECTION_CHUNK)
-    scratch = np.empty((lanes, m, _DIRECTION_CHUNK))
+    # subspace i's directions c..c+16 are slice i * 64 / 16 + c / 16
+    dirs = (frames @ inner.swapaxes(1, 2)).reshape(M, n, -1, _DIRECTION_CHUNK).swapaxes(1, 2)
+    hq = np.empty((M, _DIRECTIONS))
 
-    def block(lane: int, start: int, stop: int):
-        # numpy only, so a helper lane runs none of the package's public functions
-        proj = scratch[lane]
-        for i in range(start, stop):
-            yield
-            dirs = frames[i] @ inner[i].T
-            hq = np.empty(_DIRECTIONS)
-            for c in range(0, _DIRECTIONS, _DIRECTION_CHUNK):
-                np.matmul(pts, dirs[:, c : c + _DIRECTION_CHUNK], out=proj)
-                np.abs(proj, out=proj)
-                proj **= q
-                hq[c : c + _DIRECTION_CHUNK] = np.mean(proj, axis=0)
-            rhs[i] = np.sqrt(k / q) * np.mean(1.0 / hq) ** (-1.0 / q)
+    def mean_powers(proj: np.ndarray, lo: int, hi: int) -> None:
+        np.abs(proj, out=proj)
+        proj **= q
+        np.mean(proj, axis=-2, out=hq.reshape(-1, _DIRECTION_CHUNK)[lo:hi])
 
-    run_lanes(block, M, lanes, M)
+    _project_stack(pts, dirs.reshape(-1, n, _DIRECTION_CHUNK), mean_powers)
+    rhs = np.sqrt(k / q) * np.array([np.mean(1.0 / row) ** (-1.0 / q) for row in hq])
     avg_neg = float(np.mean(lhs ** (-q)) ** (-1.0 / q))
-    iq_neg = moment(body, -float(q), m, key.child(3)).value
     grassmann_neg_ratio = avg_neg / (np.sqrt(k / n) * iq_neg)
     return CentroidWidthReport(lhs / rhs, grassmann_neg_ratio)

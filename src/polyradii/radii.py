@@ -59,13 +59,8 @@ def projected_sq_norms(points: np.ndarray, frames: np.ndarray, ks) -> np.ndarray
     columns, for each k of the increasing ``ks``.  Squares are summed by segment
     and the segments accumulated, so every row is nondecreasing in k exactly.
     ``frames`` is one (n, k) frame or a (B, n, k) stack, which gives a
-    (B, N, len(ks)) result whose slice b equals the result for frames[b] alone.
-
-    A stack is projected in chunks of slices whose (chunk, N, max(ks))
-    temporary holds at most _BLOCK floats, one slice when a single slice needs
-    more; the chunks run through run_lanes, each lane projecting into its own
-    chunk of scratch and writing only its own slices of the result.  A stack
-    that fits in one chunk runs as one chunk on the calling thread.
+    (B, N, len(ks)) result whose slice b equals the result for frames[b] alone;
+    one frame is projected as a stack of one, through _project_stack.
 
     The sums have the bits of np.cumsum(np.add.reduceat(sq, [0, *ks[:-1]])):
     segments of at most _PAIRWISE_LINEAR columns are summed as column adds in
@@ -73,22 +68,38 @@ def projected_sq_norms(points: np.ndarray, frames: np.ndarray, ks) -> np.ndarray
     longer ones by reduceat itself, and the prefix sums are column adds.
     """
     N, kmax = points.shape[0], ks[-1]
-    out = np.empty(frames.shape[:-2] + (N, len(ks)))
-    chunk = max(1, _BLOCK // (N * kmax))
-    if frames.ndim == 2 or len(frames) <= chunk:
-        _sum_segments(points @ frames[..., :kmax], ks, out)
-        return out
+    stack = frames[..., :kmax].reshape(-1, frames.shape[-2], kmax)
+    out = np.empty((len(stack), N, len(ks)))
+    _project_stack(points, stack, lambda sq, lo, hi: _sum_segments(sq, ks, out[lo:hi]))
+    return out.reshape(frames.shape[:-2] + out.shape[1:])
 
-    lanes = lane_count(-(-len(frames) // chunk), chunk * N * kmax)
-    scratch = np.empty((lanes, chunk, N, kmax))
+
+def _project_stack(points: np.ndarray, stack: np.ndarray, reduce) -> None:
+    """Call reduce(points @ stack[lo:hi], lo, hi) over chunks covering the (B, n, w) stack.
+
+    A chunk's product holds at most _BLOCK floats, one slice when a slice needs
+    more.  Blocks of chunks run in parallel.lane_count lanes, each projecting
+    into its own scratch; ``reduce`` runs numpy only, may overwrite the product
+    and writes only its own slots lo..hi.  One chunk, such as the one frame a
+    Gaussian helper lane projects, runs on the calling thread: lanes never nest.
+    """
+    B, N, w = len(stack), points.shape[0], stack.shape[-1]
+    chunk = max(1, _BLOCK // (N * w))
+    if B <= chunk:
+        reduce(points @ stack, 0, B)
+        return
+
+    chunks = -(-B // chunk)
+    lanes = lane_count(chunks, chunk * N * w)
+    scratch = np.empty((lanes, chunk, N, w))
 
     def block(lane: int, start: int, stop: int):
-        yield
-        sq = np.matmul(points, frames[start:stop, :, :kmax], out=scratch[lane, : stop - start])
-        _sum_segments(sq, ks, out[start:stop])
+        for lo in range(start * chunk, min(stop * chunk, B), chunk):
+            yield
+            hi = min(lo + chunk, B)
+            reduce(np.matmul(points, stack[lo:hi], out=scratch[lane, : hi - lo]), lo, hi)
 
-    run_lanes(block, len(frames), lanes, chunk)
-    return out
+    run_lanes(block, chunks, lanes, chunks)
 
 
 def _sum_segments(sq: np.ndarray, ks, out: np.ndarray) -> None:

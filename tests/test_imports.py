@@ -4,7 +4,9 @@ No package module imports a name it never uses, ``__init__.py`` included:
 the top level exports nothing, so a re-export added there fails as an unused
 import.  Every public name a package module defines is read by some package
 module; what only the tests read lives in ``tests/``.  Only ``parallel``
-starts threads or counts CPUs, so the lane policy stays in one module.  Only
+starts threads or counts CPUs, so the lane policy stays in one module, and
+only ``radii`` and ``gaussian`` run lanes, so every laned projection goes
+through one function.  Only
 the chi quadrature behind ``gaussian`` loads scipy.integrate: it pulls in some
 290 modules that every other command would pay for in start-up time and
 memory.
@@ -104,6 +106,20 @@ def test_only_parallel_decides_lanes():
             if names & lane_names:
                 found.setdefault(path.name, set()).update(names & lane_names)
     assert found == {"parallel.py": lane_names}
+
+
+def test_only_radii_and_gaussian_run_lanes():
+    # the stacked projection in radii and the Gaussian replicas are the two
+    # lane loops: no other module imports parallel or calls run_lanes
+    importers, calls = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "parallel":
+                importers.add(path.name)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_lanes":
+                calls.append(path.name)
+    assert importers == {"radii.py", "gaussian.py"}
+    assert calls == ["gaussian.py", "radii.py"]
 
 
 def _probe(tmp_path: Path, commands: list[list[str]]) -> list:

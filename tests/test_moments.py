@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+from polyradii import parallel
 from polyradii.bodies import Body, isotropic_constant, make_body
 from polyradii.grassmann import sphere_marginal_moment
 from polyradii.moments import (
@@ -139,6 +141,23 @@ def test_centroid_width_band_and_guards(key):
         centroid_width_check(body, 8, 4, 16, 1000, key)  # (k-1)/2 = 3.5
     with pytest.raises(ValueError):
         centroid_width_check(body, 8, 2.5, 16, 1000, key)
+
+
+def test_centroid_width_holds_one_sample_at_a_time(key, monkeypatch):
+    # the check draws two m x n samples, pts and the one behind I_{-q}(K); with
+    # the second drawn and freed first, the peak is pts plus one m x 16 slice of
+    # projected directions (here 2.1 samples), not both samples and the
+    # sampler's own temporaries (4.1).  One lane, so the CPU count cannot
+    # add scratch
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+    body, m = make_body("cube", 16), 100000
+    tracemalloc.start()
+    try:
+        centroid_width_check(body, 8, 2, 8, m, key.child(30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * m * body.dim * 8
 
 
 def test_centroid_width_ratio_distribution_stable(key):

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from polyradii import gaussian, moments, parallel, radii
+from polyradii import gaussian, parallel, radii
 from polyradii.bodies import KINDS, make_body, sample_points
 from polyradii.estimates import Estimate, power_estimate
 from polyradii.gaussian import projected_max_mc
@@ -112,6 +112,8 @@ def _centroid_reference(body, k, q, M, m, key):
 def test_subspace_moments_in_lanes_equal_the_per_subspace_loop(key, monkeypatch):
     # 2000 points: chunks of 32, 4 and 2 subspaces at k = 1, 8 and 16 for the
     # Grassmannian average, of 4 subspaces for the centroid check's left side
+    # and of 2 slices of 16 directions for its right side; at 5000 points one
+    # 5000 x 16 slice alone exceeds _BLOCK
     with _short_switch_interval():
         for b, kind in enumerate(KINDS):
             body = make_body(kind, 16)
@@ -123,22 +125,23 @@ def test_subspace_moments_in_lanes_equal_the_per_subspace_loop(key, monkeypatch)
                         monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
                         ga = grassmann_moment_avg(body, k, q, 100, 2000, sub)
                         assert (ga.estimate, ga.reference, ga.iq) == expected
-            for q in (1, 2):
-                sub = key.child(b).child(0).child(q)
-                ratios, neg_ratio = _centroid_reference(body, 8, q, 20, 2000, sub)
-                for lanes in (1, 2, 3):
-                    monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
-                    report = centroid_width_check(body, 8, q, 20, 2000, sub)
-                    assert np.array_equal(report.ratios, ratios)
-                    assert report.grassmann_neg_ratio == neg_ratio
+            for m, stream in ((2000, 0), (5000, 2)):  # not a k of the loop above
+                for q in (1, 2):
+                    sub = key.child(b).child(stream).child(q)
+                    ratios, neg_ratio = _centroid_reference(body, 8, q, 20, m, sub)
+                    for lanes in (1, 2, 3):
+                        monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
+                        report = centroid_width_check(body, 8, q, 20, m, sub)
+                        assert np.array_equal(report.ratios, ratios)
+                        assert report.grassmann_neg_ratio == neg_ratio
 
 
 def test_every_loop_keeps_its_lanes_within_the_scratch_budget(key, monkeypatch):
     # at 8 usable CPUs a loop runs one lane per CPU only while the lanes'
     # scratch fits in _LANE_FLOATS together: a projected chunk of 4 slices of
-    # 1000 x 16, an m x 16 block of centroid directions, a 20 x 8 Gaussian
-    # cloud.  A budget of 20, 3, 1 and half a lane gives 8, 3, 1 and 1 lanes,
-    # each on its own thread, with the bits of one lane
+    # 1000 x 16, a chunk of 2 slices of 2000 x 16 centroid directions, a 20 x 8
+    # Gaussian cloud.  A budget of 20, 3, 1 and half a lane gives 8, 3, 1 and
+    # 1 lanes, each on its own thread, with the bits of one lane
     body = make_body("cube", 16)
     pts = sample_points(body, 1000, key.child(0))
     frames = haar_frames(16, 16, [key.child(1).child(i) for i in range(40)])
@@ -151,19 +154,22 @@ def test_every_loop_keeps_its_lanes_within_the_scratch_budget(key, monkeypatch):
         estimate = projected_max_mc(8, 2, 20, 24, key.child(3))
         return np.array([estimate.value, estimate.stderr])
 
+    # (module whose run_lanes runs the loop, its count of chunks or replicas,
+    # lane scratch, run): a stack runs in chunks, 40 frames in 10; the centroid
+    # check's right side is its stack of 20 x 64 / 16 = 80 direction slices in
+    # 40 chunks, and its left side, 20 frames in 5 chunks, also runs in radii
     loops = [
-        (radii, 4 * 1000 * 16, lambda: projected_sq_norms(pts, frames, [3, 16])),
-        (moments, 2000 * 16, centroid),
-        (gaussian, 20 * 8, replicas),
+        (radii, 10, 4 * 1000 * 16, lambda: projected_sq_norms(pts, frames, [3, 16])),
+        (radii, 40, 2 * 2000 * 16, centroid),
+        (gaussian, 24, 20 * 8, replicas),
     ]
     real_run_lanes = parallel.run_lanes
     calls = []
 
     def traced(module):
-        # each module's calls apart: the centroid check's left side runs in radii
         def run_lanes(block, count, lanes, cap):
             threads = set()
-            calls.append((module, lanes, threads))
+            calls.append((module, count, lanes, threads))
 
             def steps(lane, start, stop):
                 for step in block(lane, start, stop):
@@ -180,7 +186,7 @@ def test_every_loop_keeps_its_lanes_within_the_scratch_budget(key, monkeypatch):
     # os.cpu_count() says on this host
     with _short_switch_interval(), ThreadPoolExecutor(7) as helpers:
         monkeypatch.setattr(parallel, "_helpers", helpers)
-        for module, lane_floats, run in loops:
+        for module, count, lane_floats, run in loops:
             monkeypatch.setattr(module, "run_lanes", traced(module))
             monkeypatch.setattr(parallel, "_LANE_FLOATS", lane_floats)
             expected = run()
@@ -188,7 +194,8 @@ def test_every_loop_keeps_its_lanes_within_the_scratch_budget(key, monkeypatch):
                 monkeypatch.setattr(parallel, "_LANE_FLOATS", int(budget * lane_floats))
                 calls.clear()
                 assert np.array_equal(run(), expected)
-                ran = [(n, len(threads)) for caller, n, threads in calls if caller is module]
+                ran = [(n, len(threads)) for caller, covered, n, threads in calls
+                       if caller is module and covered == count]
                 assert ran == [(lanes, lanes)]
 
 
