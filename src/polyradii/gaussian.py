@@ -128,7 +128,6 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
         raise ValueError("need 1 <= k <= n")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    lanes = lane_count(replicas, N * n)
     vals = np.empty(replicas)
 
     def block(lane: int, start: int, stop: int):
@@ -138,5 +137,6 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
             pts = gaussian_cloud(n, N, key.child(i))
             vals[i] = np.sqrt(np.max(projected_sq_norms(pts, frame, [k])))
 
-    run_lanes(block, replicas, lanes, max(1, _BLOCK // (lanes * n * k)))
+    with lane_count(replicas, N * n) as lanes:
+        run_lanes(block, replicas, lanes, max(1, _BLOCK // (lanes * n * k)))
     return mean_and_stderr(vals)

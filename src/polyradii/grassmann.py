@@ -7,6 +7,7 @@ from collections.abc import Sequence
 import numpy as np
 from scipy.special import gammaln, ndtri
 
+from .parallel import one_blas_thread
 from .streams import StreamKey, standard_normal, uniform
 
 
@@ -18,7 +19,8 @@ def haar_frames(n: int, k: int, keys: Sequence[StreamKey]) -> np.ndarray:
     each frame is a nested flag: every prefix of k columns is Haar on G_{n,k}.
     Each key makes its own uniform draw; one inverse-normal transform and one
     batched QR then cover the whole stack, so frame i has the same bits
-    whatever the other keys are.
+    whatever the other keys are.  The QR runs on one BLAS thread, so the bits
+    do not depend on the BLAS thread count either.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -26,7 +28,8 @@ def haar_frames(n: int, k: int, keys: Sequence[StreamKey]) -> np.ndarray:
     for row, key in zip(g, keys):
         row[:] = uniform(key, n * k)
     ndtri(g, out=g)  # streams.standard_normal, applied to the whole stack
-    q, r = np.linalg.qr(g.reshape(len(keys), n, k))
+    with one_blas_thread():
+        q, r = np.linalg.qr(g.reshape(len(keys), n, k))
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     q *= np.where(d == 0.0, 1.0, d)[:, None, :]
     return q

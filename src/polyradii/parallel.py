@@ -4,11 +4,14 @@ lane_count decides how many lanes every loop of the package runs and
 run_lanes runs them.  A loop writes each of its slots from exactly one lane
 and reduces them in index order afterwards, so its result has the same bits at
 any lane count.  numpy releases the interpreter lock in the stream words, the
-inverse normal and the GEMM, which is where the time goes.
+inverse normal and the GEMM, which is where the time goes.  Lanes own the
+cores: while a loop runs in two or more, numpy's BLAS runs one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import os
 import threading
 from collections.abc import Callable, Iterator
@@ -23,6 +26,10 @@ _LANE_FLOATS = 1 << 22  # bound on the scratch of 2+ lanes together, in float64s
 _helpers: ThreadPoolExecutor | None = None
 _helpers_lock = threading.Lock()
 
+# get and set of the thread count of numpy's OpenBLAS, looked up on first use;
+# () where numpy links no such library, and then the count is left as it is
+_blas: tuple | None = None
+
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
@@ -31,11 +38,53 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def lane_count(most: int, lane_floats: int) -> int:
-    """Lanes for a loop that can use at most ``most``, each holding ``lane_floats``
-    floats of scratch: one per usable CPU, but only as many as keep their scratch
-    within _LANE_FLOATS together, and one when a single lane needs more."""
-    return min(most, _usable_cpus(), max(1, _LANE_FLOATS // lane_floats))
+def _openblas() -> tuple:
+    """The get and set functions of the thread count of the OpenBLAS numpy links."""
+    global _blas
+    if _blas is None:
+        try:
+            from numpy._core import _multiarray_umath
+
+            # a handle on numpy's own module finds the symbols in the libraries it links
+            blas = ctypes.CDLL(_multiarray_umath.__file__)
+            _blas = (blas.scipy_openblas_get_num_threads64_,
+                     blas.scipy_openblas_set_num_threads64_)
+        except (ImportError, OSError, AttributeError):
+            _blas = ()
+    return _blas
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Hold numpy's BLAS at one thread and restore its thread count on exit,
+    also after an error.  OpenBLAS's bits can depend on its thread count (a
+    260 x 260 QR differs at 1 and 2 threads), so an operation whose bits must
+    not runs here.  No other thread may use BLAS meanwhile at more threads,
+    which lanes never do."""
+    blas = _openblas()
+    threads = blas[0]() if blas else 1
+    if threads > 1:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if threads > 1:
+            blas[1](threads)
+
+
+@contextlib.contextmanager
+def lane_count(most: int, lane_floats: int) -> Iterator[int]:
+    """Yield the lanes for a loop that can use at most ``most``, each holding
+    ``lane_floats`` floats of scratch: one per usable CPU, but only as many as
+    keep their scratch within _LANE_FLOATS together, and one when a single lane
+    needs more.  While the count is above one, numpy's BLAS runs one thread
+    (one_blas_thread), so the lanes own the cores; one lane leaves BLAS alone.
+    A loop holds this around its whole body, the numpy calls on the calling
+    thread between its lane runs included.
+    """
+    lanes = min(most, _usable_cpus(), max(1, _LANE_FLOATS // lane_floats))
+    with one_blas_thread() if lanes > 1 else contextlib.nullcontext():
+        yield lanes
 
 
 def run_lanes(

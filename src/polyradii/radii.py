@@ -15,11 +15,19 @@ from .grassmann import haar_frames
 from .parallel import lane_count, run_lanes
 from .streams import StreamKey
 
-_BLOCK = 1 << 16  # bound on B * max(N, n) * kmax for a block of B flags, in float64s
+_BLOCK = 1 << 16  # bound on a chunk's product and on a block of frames, in float64s
 # np.add.reduceat sums a segment as its first element plus numpy's pairwise sum
 # of the rest, and pairwise summation adds fewer than 8 terms left to right: a
 # fact about numpy, not a tuning knob.
 _PAIRWISE_LINEAR = 8
+# Two facts about the OpenBLAS numpy bundles, pinned in tests/test_radii.py: at
+# one thread, a chunk of rows of a product has the bits of the same rows of the
+# whole product when (a) its GEMM does more than 10^6 multiply-adds, past which
+# OpenBLAS leaves its small-matrix kernel, and (b) it starts on OpenBLAS's grid
+# of 12-row tiles (at w = 199 or 260, chunks of 329 or 256 rows change entries
+# in the last w % 8 columns); 48 rows also fit a grid of 16.
+_GEMM_FLOOR = 1 << 20
+_ROW_TILE = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,36 +78,70 @@ def projected_sq_norms(points: np.ndarray, frames: np.ndarray, ks) -> np.ndarray
     N, kmax = points.shape[0], ks[-1]
     stack = frames[..., :kmax].reshape(-1, frames.shape[-2], kmax)
     out = np.empty((len(stack), N, len(ks)))
-    _project_stack(points, stack, lambda sq, lo, hi: _sum_segments(sq, ks, out[lo:hi]))
+    _project_stack(points, stack, lambda sq, lo, hi, lane: _sum_segments(sq, ks, out[lo:hi]))
     return out.reshape(frames.shape[:-2] + out.shape[1:])
 
 
-def _project_stack(points: np.ndarray, stack: np.ndarray, reduce) -> None:
-    """Call reduce(points @ stack[lo:hi], lo, hi) over chunks covering the (B, n, w) stack.
+def _chunk_rule(N: int, n: int, w: int, split_rows: bool) -> tuple[int, list[int]]:
+    """How N points are projected onto a (B, n, w) stack: (slices per chunk, row bounds).
 
-    A chunk's product holds at most _BLOCK floats, one slice when a slice needs
-    more.  Blocks of chunks run in parallel.lane_count lanes, each projecting
-    into its own scratch; ``reduce`` runs numpy only, may overwrite the product
-    and writes only its own slots lo..hi.  One chunk, such as the one frame a
-    Gaussian helper lane projects, runs on the calling thread: lanes never nest.
+    A chunk is as many whole slices as keep its N x w products within _BLOCK
+    floats, or one slice when a slice needs more.  With ``split_rows`` such a
+    slice is projected in row chunks of R points, the larger of the most
+    points within _BLOCK floats and the fewest whose GEMM does _GEMM_FLOOR
+    multiply-adds, each rounded to a multiple of _ROW_TILE inside its bound;
+    the last chunk also takes the fewer than R points left over, and a slice
+    of fewer than R points is one row chunk.
     """
-    B, N, w = len(stack), points.shape[0], stack.shape[-1]
-    chunk = max(1, _BLOCK // (N * w))
-    if B <= chunk:
-        reduce(points @ stack, 0, B)
-        return
+    if N * w <= _BLOCK or not split_rows:
+        return max(1, _BLOCK // (N * w)), [0, N]
+    rows = max(_BLOCK // w // _ROW_TILE, -(-_GEMM_FLOOR // (n * w * _ROW_TILE))) * _ROW_TILE
+    return 1, [*range(0, max(1, N // rows) * rows, rows), N]
 
-    chunks = -(-B // chunk)
-    lanes = lane_count(chunks, chunk * N * w)
-    scratch = np.empty((lanes, chunk, N, w))
+
+def _project_stack(
+    points: np.ndarray, stack: np.ndarray, reduce, lanes: int | None = None,
+    split_rows: bool = False,
+) -> None:
+    """Call reduce(points[r0:r1] @ stack[lo:hi], lo, hi, lane) over chunks covering
+    the (B, n, w) stack, cut by _chunk_rule.
+
+    A slice cut into row chunks is reduced one row chunk at a time, in row
+    order, all in one lane, so ``reduce`` can keep a running result per slice.
+    Blocks of whole chunks run in ``lanes`` lanes (by default parallel.lane_count's
+    for this stack, held for the call), each projecting into its own scratch;
+    ``reduce`` runs numpy only, may overwrite the product, writes only its own
+    slots lo..hi and indexes any scratch of its own by ``lane``.  One chunk,
+    such as the one frame a Gaussian helper lane projects, runs on the calling
+    thread (as one product when its rows are not cut) and never calls
+    run_lanes: lanes never nest.
+    """
+    B, (N, n), w = len(stack), points.shape, stack.shape[-1]
+    per_chunk, bounds = _chunk_rule(N, n, w, split_rows)
+    chunks, rows = -(-B // per_chunk), bounds[-1] - bounds[-2]
+    if chunks == 1 and rows == N:
+        reduce(points @ stack, 0, B, 0)
+        return
+    if lanes is None:
+        with lane_count(chunks, per_chunk * rows * w) as lanes:
+            _project_stack(points, stack, reduce, lanes, split_rows)
+        return
+    lanes = min(lanes, chunks)
+    scratch = np.empty((lanes, min(per_chunk, B) * rows * w))
 
     def block(lane: int, start: int, stop: int):
-        for lo in range(start * chunk, min(stop * chunk, B), chunk):
-            yield
-            hi = min(lo + chunk, B)
-            reduce(np.matmul(points, stack[lo:hi], out=scratch[lane, : hi - lo]), lo, hi)
+        for lo in range(start * per_chunk, min(stop * per_chunk, B), per_chunk):
+            hi = min(lo + per_chunk, B)
+            for r0, r1 in zip(bounds, bounds[1:]):
+                yield
+                product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
+                reduce(np.matmul(points[r0:r1], stack[lo:hi], out=product), lo, hi, lane)
 
-    run_lanes(block, chunks, lanes, chunks)
+    if chunks == 1:
+        for _ in block(0, 0, 1):
+            pass
+    else:
+        run_lanes(block, chunks, lanes, chunks)
 
 
 def _sum_segments(sq: np.ndarray, ks, out: np.ndarray) -> None:
@@ -130,12 +172,9 @@ def radius_profile(
 
     Flag i is the haar_frames frame drawn from key.child(i), as wide as the
     largest requested k; its first k columns are a Haar k-frame, so each
-    per-k column averages max_j |P_F X_j| over M Haar subspaces F.  The squared
-    projected norms come from projected_sq_norms, so the per-point radii never
-    decrease with k and neither does their max or the flag average.  Flags are
-    drawn and projected in blocks whose frames and projections each hold at
-    most _BLOCK floats (one flag per block when a single flag needs more);
-    every flag gets the same bits at any block size.  ``ks`` restricts the grid
+    per-k column averages max_j |P_F X_j| over M Haar subspaces F, as
+    _flag_radii computes it.  The per-point radii never decrease with k, and
+    neither does their max or the flag average.  ``ks`` restricts the grid
     (default: every k = 1..n).
     """
     N, n = cloud.points.shape
@@ -149,13 +188,44 @@ def radius_profile(
         raise ValueError(f"k values must be strictly increasing within 1..{n}")
     if M < 2:
         raise ValueError("need at least 2 flags")
-    kmax = int(ks[-1])
-    block = max(1, min(M, _BLOCK // (max(N, n) * kmax)))
-    per_flag = np.empty((M, ks.size))
-    for start in range(0, M, block):
-        keys = [key.child(i) for i in range(start, min(start + block, M))]
-        sq = projected_sq_norms(cloud.points, haar_frames(n, kmax, keys), ks)
-        per_flag[start : start + len(keys)] = np.sqrt(np.max(sq, axis=-2))
+    per_flag = _flag_radii(cloud.points, M, key, ks)
     values = np.mean(per_flag, axis=0)
     stderrs = np.std(per_flag, axis=0, ddof=1) / np.sqrt(M)
     return RadiusProfile(ks, values, stderrs)
+
+
+def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> np.ndarray:
+    """(M, len(ks)) radii max_j |P_F X_j| of flag i = key.child(i), the max kernel.
+
+    At one BLAS thread, as in 2+ lanes, row i has the bits of
+    np.sqrt(np.max(projected_sq_norms(points, frame_i, ks), axis=0)) at any
+    block size, chunk size and lane count.  The calling thread draws the flags
+    in blocks and projects each block through _project_stack, with the rows
+    split: a flag whose N x max(k) product needs more than _BLOCK floats is
+    projected in row chunks, and a running max per k keeps its result.  A
+    block's frames hold at most _BLOCK floats, and so do its products unless
+    its flags are split, so a block of small flags is one chunk on the calling
+    thread and a block of split flags runs one flag per chunk in lanes (one
+    flag per block when a single frame or product needs more).  The blocks
+    share one parallel.lane_count scope, so numpy's BLAS runs one thread for
+    the frame draws too while 2+ lanes run.
+    """
+    (N, n), kmax = points.shape, int(ks[-1])
+    per_chunk, bounds = _chunk_rule(N, n, kmax, True)
+    rows = bounds[-1] - bounds[-2]
+    # floats a flag adds to a block: its frame, and its product unless that is cut into rows
+    flag_floats = (n if N * kmax > _BLOCK else max(N, n)) * kmax
+    block = max(1, min(M, _BLOCK // flag_floats))
+    peaks = np.full((M, ks.size), -np.inf)  # running max over points of the squared norms
+    with lane_count(-(-block // per_chunk), per_chunk * rows * kmax) as lanes:
+        sums = np.empty((lanes, min(per_chunk, block) * rows * ks.size))
+        for start in range(0, M, block):
+            keys = [key.child(i) for i in range(start, min(start + block, M))]
+
+            def running_max(sq, lo, hi, lane, flags=peaks[start : start + len(keys)]):
+                out = sums[lane, : sq.size // kmax * ks.size].reshape(*sq.shape[:-1], ks.size)
+                _sum_segments(sq, ks, out)
+                np.maximum(flags[lo:hi], np.max(out, axis=-2), out=flags[lo:hi])
+
+            _project_stack(points, haar_frames(n, kmax, keys), running_max, lanes, True)
+    return np.sqrt(peaks)

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines
 and timings.  Every tolerance is pinned here; none is configurable.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from polyradii.streams import StreamKey
 from polyradii.sweep import SweepConfig, rows_to_csv, run_sweep
 
 SEED = 20260809
+SWEEP_OVER_BLOCK_SHA256 = "9143e198d5085fef2f7595faa6b5873d856e482f98b9652c182e12a9864ab2f8"
 
 
 @contextmanager
@@ -247,34 +249,63 @@ def test_criterion_10_sweep_determinism(tmp_path):
         assert outputs[0] == a.encode()
 
 
-def test_criterion_10_gaussian_bytes_at_one_and_all_cpus():
+# the child confines itself and then execs the command, which keeps the
+# affinity mask; no code runs between fork and exec in this threaded process
+_CONFINE = ("import os, sys; os.sched_setaffinity(0, {int(sys.argv[1])}); "
+            "os.execv(sys.executable, [sys.executable, '-m', 'polyradii', *sys.argv[2:]])")
+
+
+def _two_usable_cpus() -> list[int]:
     usable = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     if len(usable) < 2:
         pytest.skip("needs 2 usable CPUs and an affinity mask to confine a child to one")
+    return usable
+
+
+def _on_one_and_all_cpus(usable, args, out=None) -> set:
+    """The (exit code, output) pairs of `polyradii *args` on one CPU and on all,
+    at 1 and 2 BLAS threads; the output is stdout, or the bytes written to out."""
+    runs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        for prefix in ([sys.executable, "-c", _CONFINE, str(usable[0])],
+                       [sys.executable, "-m", "polyradii"]):
+            proc = subprocess.run([*prefix, *args], env=env, capture_output=True)
+            assert proc.returncode in (0, 2), proc.stderr
+            runs.add((proc.returncode, out.read_bytes() if out else proc.stdout))
+    return runs
+
+
+def test_criterion_10_gaussian_bytes_at_one_and_all_cpus():
+    usable = _two_usable_cpus()
     with criterion(10, "byte-identical gaussian tables on one CPU and on all CPUs"):
         args = ["gaussian", "--k", "1,8", "--N", "100", "--n", "16", "--M", "16"]
-        # the child confines itself and then execs the command, which keeps the
-        # affinity mask; no code runs between fork and exec in this threaded process
-        confine = ("import os, sys; os.sched_setaffinity(0, {int(sys.argv[1])}); "
-                   "os.execv(sys.executable, [sys.executable, '-m', 'polyradii', *sys.argv[2:]])")
-        one = subprocess.run([sys.executable, "-c", confine, str(usable[0]), *args],
-                             capture_output=True)
-        every = subprocess.run([sys.executable, "-m", "polyradii", *args], capture_output=True)
-        assert one.returncode == every.returncode, (one.stderr, every.stderr)
-        assert one.stdout == every.stdout and one.stdout
+        runs = _on_one_and_all_cpus(usable, args)
+        assert len(runs) == 1 and next(iter(runs))[1]
 
 
 def test_criterion_10_check_bytes_at_one_and_all_cpus():
-    usable = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    if len(usable) < 2:
-        pytest.skip("needs 2 usable CPUs and an affinity mask to confine a child to one")
+    usable = _two_usable_cpus()
     with criterion(10, "byte-identical check reports on one CPU and on all CPUs"):
-        # the child confines itself and then execs the command, which keeps the
-        # affinity mask; no code runs between fork and exec in this threaded process
-        confine = ("import os, sys; os.sched_setaffinity(0, {int(sys.argv[1])}); "
-                   "os.execv(sys.executable, [sys.executable, '-m', 'polyradii', *sys.argv[2:]])")
-        one = subprocess.run([sys.executable, "-c", confine, str(usable[0]), "check"],
-                             capture_output=True)
-        every = subprocess.run([sys.executable, "-m", "polyradii", "check"], capture_output=True)
-        assert one.returncode == every.returncode == 0, (one.stderr, every.stderr)
-        assert one.stdout == every.stdout and one.stdout
+        runs = _on_one_and_all_cpus(usable, ["check"])
+        assert len(runs) == 1
+        code, stdout = next(iter(runs))
+        assert code == 0 and stdout
+
+
+def test_criterion_10_sweep_bytes_at_one_and_all_cpus(tmp_path):
+    # each 4096 x 32 flag product exceeds radii._BLOCK, so the flags are
+    # projected in 2 row chunks each, a block of 16 flags in lanes; the
+    # 512-point cells run blocks of 4 flags, one chunk each.  The digest was
+    # recorded before flags over _BLOCK were projected in row chunks
+    usable = _two_usable_cpus()
+    with criterion(10, "byte-identical sweeps over _BLOCK on one CPU and on all CPUs"):
+        cfg = dict(body="cube", n=32, N_list=[512, 4096], k_list=[1, 8, 32], M=16, R=2,
+                   seed=42, out=str(tmp_path / "out.csv"))
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        runs = _on_one_and_all_cpus(
+            usable, ["sweep", "--config", str(tmp_path / "cfg.json")], tmp_path / "out.csv")
+        assert len(runs) == 1
+        code, csv_bytes = next(iter(runs))
+        assert code == 0
+        assert hashlib.sha256(csv_bytes).hexdigest() == SWEEP_OVER_BLOCK_SHA256

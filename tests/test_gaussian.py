@@ -11,7 +11,7 @@ from scipy.stats import kstest, norm
 
 from conftest import chi_max_mc
 from oracles import GAUSSIAN_RATIO_BAND, GAUSSIAN_RATIO_CALIBRATION, chi_cdf
-from polyradii import gaussian, parallel
+from polyradii import cli, gaussian, parallel, radii
 from polyradii.estimates import mean_and_stderr
 from polyradii.gaussian import (
     expected_max_chi,
@@ -173,11 +173,16 @@ def test_lanes_keep_the_clouds_within_budget(key, monkeypatch):
     # lane once one cloud alone needs more (10^7 x 16 floats are 1.28 GB)
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 32)
     assert parallel._LANE_FLOATS == 1 << 22
-    assert parallel.lane_count(128, 1000 * 64) == 32
-    assert parallel.lane_count(5, 1000 * 64) == 5
-    assert parallel.lane_count(128, (1 << 16) * 16) == 4
-    assert parallel.lane_count(128, (1 << 18) * 16) == 1
-    assert parallel.lane_count(128, 10**7 * 16) == 1
+
+    def lanes(most, lane_floats):
+        with parallel.lane_count(most, lane_floats) as count:
+            return count
+
+    assert lanes(128, 1000 * 64) == 32
+    assert lanes(5, 1000 * 64) == 5
+    assert lanes(128, (1 << 16) * 16) == 4
+    assert lanes(128, (1 << 18) * 16) == 1
+    assert lanes(128, 10**7 * 16) == 1
     # projected_max_mc runs its clouds in as many threads as lane_count allows, with
     # the same result: 3 usable CPUs and room for 3, 2 and 1 clouds of 20 x 8;
     # the first blocks of 12 replicas hold 2 or 3 each, and each lane takes one
@@ -239,6 +244,29 @@ def test_projected_max_mc_stops_every_lane_on_error(key, monkeypatch):
         time.sleep(0.1)
         assert str(raised.value) == f"replica {failed[0]}"
         assert calls == returned and 7 not in calls
+
+
+def test_replicas_over_block_project_their_frames_without_nesting_lanes(monkeypatch, capsys):
+    # each replica's 10^4 x 32 product exceeds _BLOCK, but a replica projects
+    # a stack of one frame, so its lane projects it whole without calling
+    # run_lanes; the table's bytes were recorded before flags over _BLOCK were
+    # projected in row chunks
+    assert 10_000 * 32 > _BLOCK
+    nested, runs = [], []
+    real_run_lanes = gaussian.run_lanes
+
+    def run_lanes(block, count, lanes, cap):
+        runs.append(lanes)
+        real_run_lanes(block, count, lanes, cap)
+
+    monkeypatch.setattr(radii, "run_lanes", lambda *args: nested.append(args))
+    monkeypatch.setattr(gaussian, "run_lanes", run_lanes)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    assert cli.main(["gaussian", "--k", "32", "--N", "10000", "--n", "64", "--M", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "    k       N           mc     stderr       oracle  normalizer ok\n"
+        "   32   10000     8.392488     0.0791   8.50702514    5.656854 yes\n")
+    assert runs == [2] and nested == []
 
 
 def test_projected_max_mc_agrees_with_quadrature(key):

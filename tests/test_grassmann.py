@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+from polyradii import parallel
 from polyradii.grassmann import haar_frames, haar_subspace, sphere_marginal_moment, sphere_points
 from polyradii.streams import standard_normal
 
@@ -185,3 +186,24 @@ def test_orientation_fix_is_deterministic(key):
     a = haar_frames(5, 5, [key.child(22)])[0]
     b = haar_frames(5, 5, [key.child(22)])[0]
     assert a.tobytes() == b.tobytes()
+
+
+def test_frames_have_the_same_bits_at_any_blas_thread_count(key):
+    # OpenBLAS's 260 x 260 QR has other bits at 1 and 2 threads (about 41 000
+    # entries differ); haar_frames runs its QR on one thread and restores the
+    # count after it
+    blas = parallel._openblas()
+    if not blas:
+        pytest.skip("numpy's BLAS exposes no thread count")
+    get, set_threads = blas
+    keys = [key.child(50).child(i) for i in range(2)]
+    old = get()
+    frames = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            frames.append(haar_frames(260, 260, keys))
+            assert get() == threads
+    finally:
+        set_threads(old)
+    assert np.array_equal(frames[0], frames[1])

@@ -89,9 +89,10 @@ def test_bodies_imports_only_streams():
 
 
 def test_only_parallel_decides_lanes():
-    # the lane count and its memory budget live in parallel.py: no other
-    # module starts threads or counts the CPUs it may run on
-    lane_names = {"threading", "concurrent", "cpu_count", "sched_getaffinity"}
+    # the lane count, its memory budget and the BLAS thread count live in
+    # parallel.py: no other module starts threads, counts the CPUs it may run
+    # on or loads a shared library
+    lane_names = {"threading", "concurrent", "cpu_count", "sched_getaffinity", "ctypes"}
     found = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -110,15 +111,18 @@ def test_only_parallel_decides_lanes():
 
 def test_only_radii_and_gaussian_run_lanes():
     # the stacked projection in radii and the Gaussian replicas are the two
-    # lane loops: no other module imports parallel or calls run_lanes
-    importers, calls = set(), []
+    # lane loops: no other module calls run_lanes or asks for lanes, and
+    # grassmann takes only the one-BLAS-thread scope of its QR from parallel
+    imported, calls = {}, []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "parallel":
-                importers.add(path.name)
+                imported.setdefault(path.name, set()).update(alias.name for alias in node.names)
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_lanes":
                 calls.append(path.name)
-    assert importers == {"radii.py", "gaussian.py"}
+    assert imported == {"radii.py": {"lane_count", "run_lanes"},
+                        "gaussian.py": {"lane_count", "run_lanes"},
+                        "grassmann.py": {"one_blas_thread"}}
     assert calls == ["gaussian.py", "radii.py"]
 
 

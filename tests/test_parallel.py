@@ -29,7 +29,7 @@ from polyradii.moments import (
     grassmann_moment_avg,
     moment,
 )
-from polyradii.radii import _BLOCK, projected_sq_norms
+from polyradii.radii import _BLOCK, PointCloud, projected_sq_norms, radius_profile
 from polyradii.sweep import SweepConfig, consistency_checks
 
 
@@ -70,6 +70,36 @@ def test_stacked_sq_norms_in_lanes_equal_the_per_slice_calls(key, monkeypatch):
                     assert got.shape == (B, N, len(ks))
                     assert np.array_equal(got, expected)
                     assert len(threads) == lanes
+
+
+def test_flag_radii_in_lanes_equal_the_per_flag_loop(key, monkeypatch):
+    # 12 flags of 1000 x 16 are projected as blocks of 4, one chunk each on
+    # the calling thread; a 10^4 x 16 flag exceeds _BLOCK and is projected in
+    # 2 row chunks (4128 and 5872 rows), 12 flags in one block of 12 chunks,
+    # in lanes whose running maxima share one array.  ks [3, 16] sums a
+    # 13-column segment with reduceat, [1, 4, 8, 16] by column adds
+    real = radii._sum_segments
+    threads = set()
+
+    def sum_segments(sq, ks, out):
+        threads.add(threading.get_ident())
+        time.sleep(0.005)
+        real(sq, ks, out)
+
+    monkeypatch.setattr(radii, "_sum_segments", sum_segments)
+    assert np.diff(radii._chunk_rule(10_000, 16, 16, True)[1]).tolist() == [4128, 5872]
+    with _short_switch_interval():
+        for N in (1000, 10_000):
+            pts = sample_points(make_body("simplex", 16), N, key.child(N))
+            frames = haar_frames(16, 16, [key.child(7).child(i) for i in range(12)])
+            for ks in (np.array([3, 16]), np.array([1, 4, 8, 16])):
+                expected = np.stack([np.sqrt(np.max(projected_sq_norms(pts, frame, ks), axis=0))
+                                     for frame in frames])
+                for lanes in (1, 2, 3):
+                    monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
+                    threads.clear()
+                    assert np.array_equal(radii._flag_radii(pts, 12, key.child(7), ks), expected)
+                    assert len(threads) == (lanes if N == 10_000 else 1)
 
 
 def _grassmann_reference(body, k, q, M, m, key):
@@ -260,6 +290,62 @@ def test_run_lanes_stops_every_lane_on_error(monkeypatch):
             time.sleep(0.1)
         assert str(raised.value) == f"index {failed[0]}"
         assert calls == returned and 7 not in calls
+
+
+def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
+    # lanes own the cores: while a loop runs in 2 lanes numpy's OpenBLAS runs
+    # one thread, in the lanes and on the calling thread between its lane runs
+    # (radius_profile's frame draws), and it gets its old count back after the
+    # loop, also when a helper lane raised; a loop in 1 lane leaves it alone
+    blas = parallel._openblas()
+    if not blas:
+        pytest.skip("numpy's BLAS exposes no thread count")
+    get, set_threads = blas
+    seen = []
+    real_frames, real_sums = radii.haar_frames, radii._sum_segments
+
+    def frames(n, k, keys):
+        seen.append(get())
+        return real_frames(n, k, keys)
+
+    def sum_segments(sq, ks, out):
+        seen.append(get())
+        real_sums(sq, ks, out)
+
+    def block(lane, start, stop):
+        for _ in range(start, stop):
+            yield
+            seen.append(get())
+            time.sleep(0.01)
+            if lane == 1:
+                raise RuntimeError("helper lane")
+
+    monkeypatch.setattr(radii, "haar_frames", frames)
+    monkeypatch.setattr(radii, "_sum_segments", sum_segments)
+    # blocks of 6 flags of 10^4 x 100 floats each, one flag per lane block,
+    # each in 16 row chunks
+    cloud = PointCloud(sample_points(make_body("cube", 100), 10_000, key.child(0)))
+    assert len(radii._chunk_rule(10_000, 100, 100, True)[1]) == 17
+    old = get()
+    try:
+        set_threads(2)
+        for lanes, threads in ((2, 1), (1, 2)):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
+            seen.clear()
+            radius_profile(cloud, 8, key.child(1), [1, 100])
+            assert len(seen) == 2 + 8 * 16 and set(seen) == {threads}
+            assert get() == 2
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        seen.clear()
+        with ThreadPoolExecutor(1) as helpers:
+            monkeypatch.setattr(parallel, "_helpers", helpers)
+            with pytest.raises(RuntimeError, match="helper lane"):
+                with parallel.lane_count(8, 1) as lanes:
+                    parallel.run_lanes(block, 8, lanes, 8)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+    finally:
+        set_threads(old)
 
 
 def test_check_runs_the_public_functions_on_the_calling_thread(monkeypatch):

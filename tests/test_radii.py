@@ -8,7 +8,7 @@ from scipy.stats import ks_2samp
 from oracles import mean_width, outer_radius_points
 from polyradii.bodies import make_body, sample_points
 from polyradii.grassmann import haar_frames
-from polyradii import radii
+from polyradii import parallel, radii
 from polyradii.radii import (
     PointCloud,
     projected_sq_norms,
@@ -232,8 +232,10 @@ def _reference_profile(cloud, M, key, ks):
     return np.mean(per_flag, axis=0), np.std(per_flag, axis=0, ddof=1) / np.sqrt(M)
 
 
-@pytest.mark.parametrize("block", [1 << 12, 1 << 16, 1 << 20])
+@pytest.mark.parametrize("block", [1 << 6, 1 << 8, 1 << 12, 1 << 16, 1 << 20])
 def test_blocked_profile_equals_the_reference_loop(key, monkeypatch, block):
+    # a block's frames fit in _BLOCK floats, and so do its products unless
+    # its flags are cut into row chunks
     monkeypatch.setattr(radii, "_BLOCK", block)
     sizes = []
 
@@ -258,14 +260,78 @@ def test_blocked_profile_equals_the_reference_loop(key, monkeypatch, block):
                     cloud, M, key.child(35).child(c).child(M), prof.ks)
                 assert np.array_equal(prof.values, values)
                 assert np.array_equal(prof.stderrs, stderrs)
-                kmax = int(prof.ks[-1])
-                B = max(1, min(M, block // (max(cloud.points.shape[0], n) * kmax)))
+                N, kmax = cloud.points.shape[0], int(prof.ks[-1])
+                flag_floats = (n if N * kmax > block else max(N, n)) * kmax
+                B = max(1, min(M, block // flag_floats))
                 assert sizes == [B] * (M // B) + ([M % B] if M % B else [])
                 seen.update({"several" if B > 1 else "one flag per block",
                              "ragged" if M % B else "even"})
-    # the 9000-point cloud needs more than 2^16 floats per flag
-    single = {"one flag per block"} if block <= 1 << 16 else set()
+    # a block holds a single flag at 2^6 floats (8 x 8 and 8 x 7 frames) and at
+    # 2^16 (the 9000 x 7 product, while 9000 x 8 ones are cut into rows)
+    single = {"one flag per block"} if block in (1 << 6, 1 << 16) else set()
     assert seen == {"several", "ragged", "even"} | single
+
+
+def test_row_chunks_just_above_the_small_gemm_cut_keep_the_bits(key, monkeypatch):
+    # OpenBLAS runs a GEMM of at most 10^6 multiply-adds on a small-matrix
+    # kernel: at n = 100 and k = 50, chunks of 200 of these 10^4 points change
+    # about 17 000 entries of the product, and 2 of these 8 x 50 maxima.  Chunks
+    # of 201 rows, the fewest above the cut (the last one 352 rows, and no row
+    # tile at k = 50), must give the monolithic maxima at any lane count;
+    # blocks of 2 flags run in lanes
+    monkeypatch.setattr(radii, "_BLOCK", 201 * 50)
+    monkeypatch.setattr(radii, "_GEMM_FLOOR", 10**6 + 1)
+    monkeypatch.setattr(radii, "_ROW_TILE", 1)
+    n, N, M, ks = 100, 10_000, 8, np.arange(1, 51)
+    assert np.diff(radii._chunk_rule(N, n, 50, True)[1]).tolist() == [201] * 48 + [352]
+    pts = sample_points(make_body("ball", n), N, key.child(40))
+    frames = haar_frames(n, 50, [key.child(41).child(i) for i in range(M)])
+    expected = np.stack([np.sqrt(np.max(projected_sq_norms(pts, frame, ks), axis=-2))
+                         for frame in frames])
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
+        assert np.array_equal(radii._flag_radii(pts, M, key.child(41), ks), expected)
+
+
+def test_row_chunks_keep_the_bits_of_the_whole_product(key):
+    # at one BLAS thread OpenBLAS computes a product in tiles of 12 rows, and
+    # at w = 199 or 260 the last w % 8 columns of a row get other bits when
+    # its chunk starts off that grid (chunks of 329 and 256 rows change
+    # hundreds of entries); the chunk rule's multiples of _ROW_TILE keep
+    # every entry, also at the in-regime n = k = 100
+    for n, w, N in ((200, 199, 4000), (260, 260, 3000), (100, 100, 10_000), (64, 33, 9001)):
+        pts = standard_normal(key.child(42).child(n), N * n).reshape(N, n)
+        frame = haar_frames(n, w, [key.child(43).child(n)])[0]
+        chunks = []
+
+        def keep(product, lo, hi, lane):
+            chunks.append(product[0].copy())
+
+        with parallel.one_blas_thread():
+            radii._project_stack(pts, frame[None], keep, 1, True)
+            whole = pts @ frame
+        assert len(chunks) == len(radii._chunk_rule(N, n, w, True)[1]) - 1 > 2
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+
+def test_row_chunks_never_fall_to_the_small_gemm_cut():
+    # a flag is cut into rows only when its N x w product exceeds _BLOCK floats;
+    # then every row chunk's GEMM does more than 10^6 multiply-adds, unless the
+    # flag is a single chunk.  Chunks are R rows, a multiple of _ROW_TILE, the
+    # last one R to 2R - 1
+    for n in (1, 2, 3, 8, 15, 16, 17, 64, 100, 128, 256, 1000):
+        for w in sorted({1, 2, max(1, n // 2), n}):
+            for N in (1, 10, 999, 4097, 2**16 + 1, 10**5, 10**6 + 7):
+                per_chunk, bounds = radii._chunk_rule(N, n, w, True)
+                sizes = np.diff(bounds)
+                assert bounds[0] == 0 and bounds[-1] == N and np.all(sizes > 0)
+                assert per_chunk == (max(1, radii._BLOCK // (N * w)) if N * w <= radii._BLOCK
+                                     else 1)
+                if len(sizes) > 1:
+                    assert N * w > radii._BLOCK
+                    assert np.all(sizes * n * w > 10**6)
+                    assert np.all(sizes[:-1] == sizes[0]) and sizes[0] % radii._ROW_TILE == 0
+                    assert sizes[0] <= sizes[-1] < 2 * sizes[0]
 
 
 def test_profile_estimate_lookup(key):
