@@ -60,7 +60,8 @@ def one_blas_thread() -> Iterator[None]:
     also after an error.  OpenBLAS's bits can depend on its thread count (a
     260 x 260 QR differs at 1 and 2 threads), so an operation whose bits must
     not runs here.  No other thread may use BLAS meanwhile at more threads,
-    which lanes never do."""
+    which lanes never do.  The count is the process's: two threads that call
+    polyradii at once are not supported, since one can reset it mid-call."""
     blas = _openblas()
     threads = blas[0]() if blas else 1
     if threads > 1:

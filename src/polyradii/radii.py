@@ -6,6 +6,7 @@ hull is ever built; everything reduces to inner products with frames.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,10 +112,10 @@ def _project_stack(
     Blocks of whole chunks run in ``lanes`` lanes (by default parallel.lane_count's
     for this stack, held for the call), each projecting into its own scratch;
     ``reduce`` runs numpy only, may overwrite the product, writes only its own
-    slots lo..hi and indexes any scratch of its own by ``lane``.  One chunk,
-    such as the one frame a Gaussian helper lane projects, runs on the calling
-    thread (as one product when its rows are not cut) and never calls
-    run_lanes: lanes never nest.
+    slots lo..hi and indexes any scratch of its own by ``lane``.  A stack of one
+    chunk whose rows are not cut, such as the one frame a Gaussian helper lane
+    projects, is one product on the calling thread and never calls run_lanes:
+    lanes never nest.
     """
     B, (N, n), w = len(stack), points.shape, stack.shape[-1]
     per_chunk, bounds = _chunk_rule(N, n, w, split_rows)
@@ -122,25 +123,19 @@ def _project_stack(
     if chunks == 1 and rows == N:
         reduce(points @ stack, 0, B, 0)
         return
-    if lanes is None:
-        with lane_count(chunks, per_chunk * rows * w) as lanes:
-            _project_stack(points, stack, reduce, lanes, split_rows)
-        return
-    lanes = min(lanes, chunks)
-    scratch = np.empty((lanes, min(per_chunk, B) * rows * w))
+    with (lane_count(chunks, per_chunk * rows * w) if lanes is None
+          else contextlib.nullcontext(lanes)) as lanes:
+        lanes = min(lanes, chunks)
+        scratch = np.empty((lanes, min(per_chunk, B) * rows * w))
 
-    def block(lane: int, start: int, stop: int):
-        for lo in range(start * per_chunk, min(stop * per_chunk, B), per_chunk):
-            hi = min(lo + per_chunk, B)
-            for r0, r1 in zip(bounds, bounds[1:]):
-                yield
-                product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
-                reduce(np.matmul(points[r0:r1], stack[lo:hi], out=product), lo, hi, lane)
+        def block(lane: int, start: int, stop: int):
+            for lo in range(start * per_chunk, min(stop * per_chunk, B), per_chunk):
+                hi = min(lo + per_chunk, B)
+                for r0, r1 in zip(bounds, bounds[1:]):
+                    yield
+                    product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
+                    reduce(np.matmul(points[r0:r1], stack[lo:hi], out=product), lo, hi, lane)
 
-    if chunks == 1:
-        for _ in block(0, 0, 1):
-            pass
-    else:
         run_lanes(block, chunks, lanes, chunks)
 
 
@@ -197,16 +192,17 @@ def radius_profile(
 def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> np.ndarray:
     """(M, len(ks)) radii max_j |P_F X_j| of flag i = key.child(i), the max kernel.
 
-    At one BLAS thread, as in 2+ lanes, row i has the bits of
-    np.sqrt(np.max(projected_sq_norms(points, frame_i, ks), axis=0)) at any
-    block size, chunk size and lane count.  The calling thread draws the flags
-    in blocks and projects each block through _project_stack, with the rows
-    split: a flag whose N x max(k) product needs more than _BLOCK floats is
-    projected in row chunks, and a running max per k keeps its result.  A
+    Row i has the bits of np.sqrt(np.max(projected_sq_norms(points, frame_i,
+    ks), axis=0)) at any block size and lane count.  The calling thread draws
+    the flags in blocks and projects each block through _project_stack.  A
     block's frames hold at most _BLOCK floats, and so do its products unless
-    its flags are split, so a block of small flags is one chunk on the calling
-    thread and a block of split flags runs one flag per chunk in lanes (one
-    flag per block when a single frame or product needs more).  The blocks
+    its flags are cut into rows: in 2+ lanes, where BLAS runs one thread, a
+    flag whose N x max(k) product needs more than _BLOCK floats is projected
+    in row chunks, a flag per lane block, and a running max per k keeps its
+    result.  In one lane each flag is one product at the BLAS thread count
+    the caller set, as projected_sq_norms computes it: at 2+ BLAS threads a
+    row chunk can have other bits than the same rows of the whole product.
+    A block of small flags is one chunk on the calling thread.  The blocks
     share one parallel.lane_count scope, so numpy's BLAS runs one thread for
     the frame draws too while 2+ lanes run.
     """
@@ -218,7 +214,9 @@ def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> n
     block = max(1, min(M, _BLOCK // flag_floats))
     peaks = np.full((M, ks.size), -np.inf)  # running max over points of the squared norms
     with lane_count(-(-block // per_chunk), per_chunk * rows * kmax) as lanes:
-        sums = np.empty((lanes, min(per_chunk, block) * rows * ks.size))
+        split_rows = lanes > 1
+        per_chunk, bounds = _chunk_rule(N, n, kmax, split_rows)
+        sums = np.empty((lanes, min(per_chunk, block) * (bounds[-1] - bounds[-2]) * ks.size))
         for start in range(0, M, block):
             keys = [key.child(i) for i in range(start, min(start + block, M))]
 
@@ -227,5 +225,5 @@ def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> n
                 _sum_segments(sq, ks, out)
                 np.maximum(flags[lo:hi], np.max(out, axis=-2), out=flags[lo:hi])
 
-            _project_stack(points, haar_frames(n, kmax, keys), running_max, lanes, True)
+            _project_stack(points, haar_frames(n, kmax, keys), running_max, lanes, split_rows)
     return np.sqrt(peaks)

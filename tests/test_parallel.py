@@ -322,18 +322,18 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
 
     monkeypatch.setattr(radii, "haar_frames", frames)
     monkeypatch.setattr(radii, "_sum_segments", sum_segments)
-    # blocks of 6 flags of 10^4 x 100 floats each, one flag per lane block,
-    # each in 16 row chunks
+    # blocks of 6 flags of 10^4 x 100 floats each, one flag per lane block
     cloud = PointCloud(sample_points(make_body("cube", 100), 10_000, key.child(0)))
     assert len(radii._chunk_rule(10_000, 100, 100, True)[1]) == 17
     old = get()
     try:
         set_threads(2)
-        for lanes, threads in ((2, 1), (1, 2)):
+        # 2 lanes cut each flag into 16 row chunks, 1 lane projects it whole
+        for lanes, threads, chunks in ((2, 1, 16), (1, 2, 1)):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
             seen.clear()
             radius_profile(cloud, 8, key.child(1), [1, 100])
-            assert len(seen) == 2 + 8 * 16 and set(seen) == {threads}
+            assert len(seen) == 2 + 8 * chunks and set(seen) == {threads}
             assert get() == 2
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         seen.clear()

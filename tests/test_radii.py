@@ -314,6 +314,50 @@ def test_row_chunks_keep_the_bits_of_the_whole_product(key):
         assert np.array_equal(np.concatenate(chunks), whole)
 
 
+@pytest.mark.parametrize("n, N, ks, cpus", [(260, 3000, [1, 199, 260], 2),
+                                            (100, 10_000, [1, 100], 1)])
+def test_flags_in_one_lane_are_whole_products_at_any_blas_thread_count(
+        key, monkeypatch, n, N, ks, cpus):
+    # at 2 BLAS threads OpenBLAS gives row chunks of a 3000 x 260 product other
+    # bits than the whole product, and at w = 260 the whole product other bits
+    # than at one thread.  A profile whose flags run in one lane (one flag per
+    # block once n * max(k) > 2^15, or one usable CPU) leaves BLAS alone, so it
+    # projects each flag as one product and keeps the bits projected_sq_norms
+    # has at the thread count it finds
+    blas = parallel._openblas()
+    if not blas:
+        pytest.skip("numpy's BLAS exposes no thread count")
+    get, set_threads = blas
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+    real = radii._sum_segments
+    products = []
+
+    def sum_segments(sq, ks, out):
+        products.append(sq.copy())
+        real(sq, ks, out)
+
+    ks, M = np.array(ks), 6
+    pts = sample_points(make_body("cube", n), N, key.child(44).child(n))
+    frames = haar_frames(n, ks[-1], [key.child(45).child(i) for i in range(M)])
+    old = get()
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            expected = np.stack([np.sqrt(np.max(projected_sq_norms(pts, frame, ks), axis=0))
+                                 for frame in frames])
+            monkeypatch.setattr(radii, "_sum_segments", sum_segments)
+            products.clear()
+            got = radii._flag_radii(pts, M, key.child(45), ks)
+            monkeypatch.setattr(radii, "_sum_segments", real)
+            assert get() == threads
+            assert len(products) == M
+            for product, frame in zip(products, frames):
+                assert np.array_equal(product, (pts @ frame)[None])
+            assert np.array_equal(got, expected)
+    finally:
+        set_threads(old)
+
+
 def test_row_chunks_never_fall_to_the_small_gemm_cut():
     # a flag is cut into rows only when its N x w product exceeds _BLOCK floats;
     # then every row chunk's GEMM does more than 10^6 multiply-adds, unless the
