@@ -2,7 +2,7 @@
 
 Every body is an affine normalization with closed-form scale and isotropic
 constant.  Samplers are inversion-based (rejection-free) so a stream key pins
-the output exactly.
+the output exactly, at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .parallel import one_blas_thread
 from .streams import StreamKey, standard_exponential, standard_normal, uniform
 
 KINDS = ("cube", "ball", "cross", "simplex")
@@ -114,4 +115,5 @@ def sample_points(body: Body, m: int, key: StreamKey) -> np.ndarray:
         return body.scale * signs * e[:, :n] / np.sum(e, axis=1, keepdims=True)
     e = standard_exponential(key.child(0), m * (n + 1)).reshape(m, n + 1)
     weights = e / np.sum(e, axis=1, keepdims=True)
-    return weights @ body.vertices
+    with one_blas_thread():  # at n = 260 the product has other bits at 2 BLAS threads
+        return weights @ body.vertices

@@ -5,7 +5,7 @@ run_lanes runs them.  A loop writes each of its slots from exactly one lane
 and reduces them in index order afterwards, so its result has the same bits at
 any lane count.  numpy releases the interpreter lock in the stream words, the
 inverse normal and the GEMM, which is where the time goes.  Lanes own the
-cores: while a loop runs in two or more, numpy's BLAS runs one thread.
+cores: while any loop runs, in however many lanes, numpy's BLAS runs one thread.
 """
 
 from __future__ import annotations
@@ -78,14 +78,13 @@ def lane_count(most: int, lane_floats: int) -> Iterator[int]:
     """Yield the lanes for a loop that can use at most ``most``, each holding
     ``lane_floats`` floats of scratch: one per usable CPU, but only as many as
     keep their scratch within _LANE_FLOATS together, and one when a single lane
-    needs more.  While the count is above one, numpy's BLAS runs one thread
-    (one_blas_thread), so the lanes own the cores; one lane leaves BLAS alone.
-    A loop holds this around its whole body, the numpy calls on the calling
-    thread between its lane runs included.
+    needs more.  numpy's BLAS runs one thread meanwhile (one_blas_thread), at
+    any lane count, so the lanes own the cores and no product's bits depend on
+    the BLAS thread count the caller set.  A loop holds this around its whole
+    body, the numpy calls on the calling thread between its lane runs included.
     """
-    lanes = min(most, _usable_cpus(), max(1, _LANE_FLOATS // lane_floats))
-    with one_blas_thread() if lanes > 1 else contextlib.nullcontext():
-        yield lanes
+    with one_blas_thread():
+        yield min(most, _usable_cpus(), max(1, _LANE_FLOATS // lane_floats))
 
 
 def run_lanes(

@@ -104,39 +104,40 @@ def _project_stack(
     points: np.ndarray, stack: np.ndarray, reduce, lanes: int | None = None,
     split_rows: bool = False,
 ) -> None:
-    """Call reduce(points[r0:r1] @ stack[lo:hi], lo, hi, lane) over chunks covering
-    the (B, n, w) stack, cut by _chunk_rule.
+    """Call reduce(points[r0:r1] @ stack[lo:hi], lo, hi, lane) over units covering
+    the (B, n, w) stack: each row chunk of each chunk of slices, by _chunk_rule.
 
-    A slice cut into row chunks is reduced one row chunk at a time, in row
-    order, all in one lane, so ``reduce`` can keep a running result per slice.
-    Blocks of whole chunks run in ``lanes`` lanes (by default parallel.lane_count's
-    for this stack, held for the call), each projecting into its own scratch;
-    ``reduce`` runs numpy only, may overwrite the product, writes only its own
-    slots lo..hi and indexes any scratch of its own by ``lane``.  A stack of one
-    chunk whose rows are not cut, such as the one frame a Gaussian helper lane
-    projects, is one product on the calling thread and never calls run_lanes:
-    lanes never nest.
+    Blocks of units run in ``lanes`` lanes (by default parallel.lane_count's
+    for this stack, held for the call, so every product runs on one BLAS
+    thread), each projecting into its own scratch; a slice's row chunks can
+    run in different lanes.  ``reduce`` runs numpy only, may overwrite the
+    product, writes only its own slots lo..hi and indexes any running result
+    or scratch of its own by ``lane``.  A stack of one unit, such as the one
+    frame a Gaussian helper lane projects, is one product on the calling
+    thread, inside the same scope, and never calls run_lanes: lanes never nest.
     """
     B, (N, n), w = len(stack), points.shape, stack.shape[-1]
     per_chunk, bounds = _chunk_rule(N, n, w, split_rows)
-    chunks, rows = -(-B // per_chunk), bounds[-1] - bounds[-2]
-    if chunks == 1 and rows == N:
-        reduce(points @ stack, 0, B, 0)
-        return
-    with (lane_count(chunks, per_chunk * rows * w) if lanes is None
+    row_chunks, rows = len(bounds) - 1, bounds[-1] - bounds[-2]
+    units = -(-B // per_chunk) * row_chunks
+    with (lane_count(units, per_chunk * rows * w) if lanes is None
           else contextlib.nullcontext(lanes)) as lanes:
-        lanes = min(lanes, chunks)
+        if units == 1:
+            reduce(points @ stack, 0, B, 0)
+            return
+        lanes = min(lanes, units)
         scratch = np.empty((lanes, min(per_chunk, B) * rows * w))
 
         def block(lane: int, start: int, stop: int):
-            for lo in range(start * per_chunk, min(stop * per_chunk, B), per_chunk):
+            for unit in range(start, stop):
+                yield
+                chunk, row = divmod(unit, row_chunks)
+                lo, (r0, r1) = chunk * per_chunk, bounds[row : row + 2]
                 hi = min(lo + per_chunk, B)
-                for r0, r1 in zip(bounds, bounds[1:]):
-                    yield
-                    product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
-                    reduce(np.matmul(points[r0:r1], stack[lo:hi], out=product), lo, hi, lane)
+                product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
+                reduce(np.matmul(points[r0:r1], stack[lo:hi], out=product), lo, hi, lane)
 
-        run_lanes(block, chunks, lanes, chunks)
+        run_lanes(block, units, lanes, units)
 
 
 def _sum_segments(sq: np.ndarray, ks, out: np.ndarray) -> None:
@@ -193,18 +194,16 @@ def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> n
     """(M, len(ks)) radii max_j |P_F X_j| of flag i = key.child(i), the max kernel.
 
     Row i has the bits of np.sqrt(np.max(projected_sq_norms(points, frame_i,
-    ks), axis=0)) at any block size and lane count.  The calling thread draws
-    the flags in blocks and projects each block through _project_stack.  A
-    block's frames hold at most _BLOCK floats, and so do its products unless
-    its flags are cut into rows: in 2+ lanes, where BLAS runs one thread, a
-    flag whose N x max(k) product needs more than _BLOCK floats is projected
-    in row chunks, a flag per lane block, and a running max per k keeps its
-    result.  In one lane each flag is one product at the BLAS thread count
-    the caller set, as projected_sq_norms computes it: at 2+ BLAS threads a
-    row chunk can have other bits than the same rows of the whole product.
-    A block of small flags is one chunk on the calling thread.  The blocks
-    share one parallel.lane_count scope, so numpy's BLAS runs one thread for
-    the frame draws too while 2+ lanes run.
+    ks), axis=0)) at any block size, lane count and BLAS thread count.  The
+    calling thread draws the flags in blocks and projects each block through
+    _project_stack.  A block's frames hold at most _BLOCK floats, and so do its
+    products unless its flags are cut into rows: a flag whose N x max(k)
+    product needs more than _BLOCK floats is projected in row chunks, which
+    the lanes share out.  Each lane keeps a running max per flag and k, and
+    the lanes' maxima are merged after the block's lanes stop; the max is
+    exact, so the merge keeps the bits.  The blocks share one
+    parallel.lane_count scope, so numpy's BLAS runs one thread for the frame
+    draws too.
     """
     (N, n), kmax = points.shape, int(ks[-1])
     per_chunk, bounds = _chunk_rule(N, n, kmax, True)
@@ -212,18 +211,18 @@ def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> n
     # floats a flag adds to a block: its frame, and its product unless that is cut into rows
     flag_floats = (n if N * kmax > _BLOCK else max(N, n)) * kmax
     block = max(1, min(M, _BLOCK // flag_floats))
-    peaks = np.full((M, ks.size), -np.inf)  # running max over points of the squared norms
-    with lane_count(-(-block // per_chunk), per_chunk * rows * kmax) as lanes:
-        split_rows = lanes > 1
-        per_chunk, bounds = _chunk_rule(N, n, kmax, split_rows)
-        sums = np.empty((lanes, min(per_chunk, block) * (bounds[-1] - bounds[-2]) * ks.size))
+    peaks = np.empty((M, ks.size))
+    with lane_count(-(-block // per_chunk) * (len(bounds) - 1), per_chunk * rows * kmax) as lanes:
+        sums = np.empty((lanes, min(per_chunk, block) * rows * ks.size))
         for start in range(0, M, block):
             keys = [key.child(i) for i in range(start, min(start + block, M))]
+            maxima = np.full((lanes, len(keys), ks.size), -np.inf)  # per lane, over points
 
-            def running_max(sq, lo, hi, lane, flags=peaks[start : start + len(keys)]):
+            def running_max(sq, lo, hi, lane):
                 out = sums[lane, : sq.size // kmax * ks.size].reshape(*sq.shape[:-1], ks.size)
                 _sum_segments(sq, ks, out)
-                np.maximum(flags[lo:hi], np.max(out, axis=-2), out=flags[lo:hi])
+                np.maximum(maxima[lane, lo:hi], np.max(out, axis=-2), out=maxima[lane, lo:hi])
 
-            _project_stack(points, haar_frames(n, kmax, keys), running_max, lanes, split_rows)
+            _project_stack(points, haar_frames(n, kmax, keys), running_max, lanes, True)
+            np.max(maxima, axis=0, out=peaks[start : start + len(keys)])
     return np.sqrt(peaks)

@@ -34,6 +34,7 @@ from polyradii.sweep import SweepConfig, rows_to_csv, run_sweep
 
 SEED = 20260809
 SWEEP_OVER_BLOCK_SHA256 = "9143e198d5085fef2f7595faa6b5873d856e482f98b9652c182e12a9864ab2f8"
+SWEEP_ONE_FLAG_BLOCKS_SHA256 = "1cb1a4f00811614b7800741ccdeeeab895b46671f1eb4f3f202cc3a9938bca06"
 
 
 @contextmanager
@@ -296,16 +297,27 @@ def test_criterion_10_check_bytes_at_one_and_all_cpus():
 def test_criterion_10_sweep_bytes_at_one_and_all_cpus(tmp_path):
     # each 4096 x 32 flag product exceeds radii._BLOCK, so the flags are
     # projected in 2 row chunks each, a block of 16 flags in lanes; the
-    # 512-point cells run blocks of 4 flags, one chunk each.  The digest was
-    # recorded before flags over _BLOCK were projected in row chunks
+    # 512-point cells run blocks of 4 flags, one chunk each.  Each 260 x 260
+    # simplex frame exceeds _BLOCK, so a block holds one flag, whose 3000 x
+    # 260 product the lanes share out in row chunks; at n = 260 the simplex
+    # sample, the QR and the product each have other bits at 2 BLAS threads
+    # unless held at one.  The first digest was recorded before flags over
+    # _BLOCK were projected in row chunks, the second before one-flag blocks
+    # ran in lanes, both at 1 BLAS thread
     usable = _two_usable_cpus()
     with criterion(10, "byte-identical sweeps over _BLOCK on one CPU and on all CPUs"):
-        cfg = dict(body="cube", n=32, N_list=[512, 4096], k_list=[1, 8, 32], M=16, R=2,
-                   seed=42, out=str(tmp_path / "out.csv"))
-        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        runs = _on_one_and_all_cpus(
-            usable, ["sweep", "--config", str(tmp_path / "cfg.json")], tmp_path / "out.csv")
-        assert len(runs) == 1
-        code, csv_bytes = next(iter(runs))
-        assert code == 0
-        assert hashlib.sha256(csv_bytes).hexdigest() == SWEEP_OVER_BLOCK_SHA256
+        configs = (
+            (dict(body="cube", n=32, N_list=[512, 4096], k_list=[1, 8, 32], M=16, R=2),
+             SWEEP_OVER_BLOCK_SHA256),
+            (dict(body="simplex", n=260, N_list=[3000], k_list=[1, 199, 260], M=4, R=1),
+             SWEEP_ONE_FLAG_BLOCKS_SHA256),
+        )
+        for cfg, digest in configs:
+            cfg = dict(cfg, seed=42, out=str(tmp_path / "out.csv"))
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            runs = _on_one_and_all_cpus(
+                usable, ["sweep", "--config", str(tmp_path / "cfg.json")], tmp_path / "out.csv")
+            assert len(runs) == 1
+            code, csv_bytes = next(iter(runs))
+            assert code == 0
+            assert hashlib.sha256(csv_bytes).hexdigest() == digest

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import contains, outer_radius_exact, support
+from polyradii import parallel
 from polyradii.bodies import (
     KINDS,
     Body,
@@ -213,3 +214,25 @@ def test_simplex_covariance_formula(key):
 def test_sample_points_shape(key):
     body = make_body("cube", 4)
     assert sample_points(body, 50, key.child(12)).shape == (50, 4)
+
+
+def test_samples_have_the_same_bits_at_any_blas_thread_count(key):
+    # at n = 260 OpenBLAS's product of the simplex weights with the vertices
+    # has other bits at 1 and 2 threads (129 of these 1000 x 260 entries
+    # differ); sample_points holds it at one thread and restores the count
+    blas = parallel._openblas()
+    if not blas:
+        pytest.skip("numpy's BLAS exposes no thread count")
+    get, set_threads = blas
+    old = get()
+    try:
+        for i, kind in enumerate(KINDS):
+            body = make_body(kind, 260)
+            samples = []
+            for threads in (1, 2):
+                set_threads(threads)
+                samples.append(sample_points(body, 1000, key.child(60).child(i)))
+                assert get() == threads
+            assert np.array_equal(samples[0], samples[1]), kind
+    finally:
+        set_threads(old)

@@ -81,11 +81,13 @@ def test_every_public_name_is_loaded_by_the_package():
 
 
 def test_bodies_imports_only_streams():
-    # the body models stay below the estimators: no import of radii or above
+    # the body models stay below the estimators: no import of radii or above.
+    # Besides streams they take only the one-BLAS-thread scope from parallel,
+    # which imports nothing from the package
     tree = ast.parse((SRC / "bodies.py").read_text(encoding="utf-8"))
     relative = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1}
-    assert relative == {"streams"}
+    assert relative == {"streams", "parallel"}
 
 
 def test_only_parallel_decides_lanes():
@@ -112,7 +114,8 @@ def test_only_parallel_decides_lanes():
 def test_only_radii_and_gaussian_run_lanes():
     # the stacked projection in radii and the Gaussian replicas are the two
     # lane loops: no other module calls run_lanes or asks for lanes, and
-    # grassmann takes only the one-BLAS-thread scope of its QR from parallel
+    # grassmann and bodies take only the one-BLAS-thread scope of their QR and
+    # simplex product from parallel
     imported, calls = {}, []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -122,7 +125,8 @@ def test_only_radii_and_gaussian_run_lanes():
                 calls.append(path.name)
     assert imported == {"radii.py": {"lane_count", "run_lanes"},
                         "gaussian.py": {"lane_count", "run_lanes"},
-                        "grassmann.py": {"one_blas_thread"}}
+                        "grassmann.py": {"one_blas_thread"},
+                        "bodies.py": {"one_blas_thread"}}
     assert calls == ["gaussian.py", "radii.py"]
 
 

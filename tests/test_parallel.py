@@ -75,8 +75,8 @@ def test_stacked_sq_norms_in_lanes_equal_the_per_slice_calls(key, monkeypatch):
 def test_flag_radii_in_lanes_equal_the_per_flag_loop(key, monkeypatch):
     # 12 flags of 1000 x 16 are projected as blocks of 4, one chunk each on
     # the calling thread; a 10^4 x 16 flag exceeds _BLOCK and is projected in
-    # 2 row chunks (4128 and 5872 rows), 12 flags in one block of 12 chunks,
-    # in lanes whose running maxima share one array.  ks [3, 16] sums a
+    # 2 row chunks (4128 and 5872 rows), 12 flags in one block of 24 row
+    # chunks, in lanes that each keep their own running maxima.  ks [3, 16] sums a
     # 13-column segment with reduceat, [1, 4, 8, 16] by column adds
     real = radii._sum_segments
     threads = set()
@@ -132,7 +132,8 @@ def _centroid_reference(body, k, q, M, m, key):
         nrm = np.sqrt(projected_sq_norms(pts, frame, [k])[:, 0])
         lhs[i] = np.mean(nrm ** (-q)) ** (-1.0 / q)
         dirs = frame @ sphere_points(k, 64, key.child(2).child(i)).T
-        hq = np.mean(np.abs(pts @ dirs) ** q, axis=0)
+        with parallel.one_blas_thread():  # as the package projects the points
+            hq = np.mean(np.abs(pts @ dirs) ** q, axis=0)
         rhs[i] = np.sqrt(k / q) * np.mean(1.0 / hq) ** (-1.0 / q)
     avg_neg = float(np.mean(lhs ** (-q)) ** (-1.0 / q))
     iq_neg = moment(body, -float(q), m, key.child(3)).value
@@ -293,10 +294,10 @@ def test_run_lanes_stops_every_lane_on_error(monkeypatch):
 
 
 def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
-    # lanes own the cores: while a loop runs in 2 lanes numpy's OpenBLAS runs
-    # one thread, in the lanes and on the calling thread between its lane runs
-    # (radius_profile's frame draws), and it gets its old count back after the
-    # loop, also when a helper lane raised; a loop in 1 lane leaves it alone
+    # lanes own the cores: while a loop runs, in 1 lane or 2, numpy's OpenBLAS
+    # runs one thread, in the lanes and on the calling thread between its lane
+    # runs (radius_profile's frame draws), and it gets its old count back after
+    # the loop, also when a helper lane raised
     blas = parallel._openblas()
     if not blas:
         pytest.skip("numpy's BLAS exposes no thread count")
@@ -328,12 +329,12 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
     old = get()
     try:
         set_threads(2)
-        # 2 lanes cut each flag into 16 row chunks, 1 lane projects it whole
-        for lanes, threads, chunks in ((2, 1, 16), (1, 2, 1)):
+        # each flag is cut into 16 row chunks in 2 lanes and in 1
+        for lanes in (2, 1):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
             seen.clear()
             radius_profile(cloud, 8, key.child(1), [1, 100])
-            assert len(seen) == 2 + 8 * chunks and set(seen) == {threads}
+            assert len(seen) == 2 + 8 * 16 and set(seen) == {1}
             assert get() == 2
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         seen.clear()

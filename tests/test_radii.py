@@ -65,9 +65,10 @@ def test_projected_sq_norms_monotone_and_complete(key):
 
 
 def _reduceat_cumsum(points, frames, ks):
-    """The kernel's reference: the same GEMM and square, then numpy's own
-    segment sums and prefix sums."""
-    sq = points @ frames[..., : ks[-1]]
+    """The kernel's reference: the same GEMM on one BLAS thread, as the kernel
+    runs it, and the same square, then numpy's own segment sums and prefix sums."""
+    with parallel.one_blas_thread():
+        sq = points @ frames[..., : ks[-1]]
     np.square(sq, out=sq)
     return np.cumsum(np.add.reduceat(sq, [0, *ks[:-1]], axis=-1), axis=-1)
 
@@ -314,46 +315,32 @@ def test_row_chunks_keep_the_bits_of_the_whole_product(key):
         assert np.array_equal(np.concatenate(chunks), whole)
 
 
-@pytest.mark.parametrize("n, N, ks, cpus", [(260, 3000, [1, 199, 260], 2),
-                                            (100, 10_000, [1, 100], 1)])
-def test_flags_in_one_lane_are_whole_products_at_any_blas_thread_count(
-        key, monkeypatch, n, N, ks, cpus):
+@pytest.mark.parametrize("n, N, ks", [(260, 3000, [1, 199, 260]), (100, 10_000, [1, 100])])
+def test_profiles_have_the_same_bits_at_any_blas_thread_and_lane_count(
+        key, monkeypatch, n, N, ks):
     # at 2 BLAS threads OpenBLAS gives row chunks of a 3000 x 260 product other
-    # bits than the whole product, and at w = 260 the whole product other bits
-    # than at one thread.  A profile whose flags run in one lane (one flag per
-    # block once n * max(k) > 2^15, or one usable CPU) leaves BLAS alone, so it
-    # projects each flag as one product and keeps the bits projected_sq_norms
-    # has at the thread count it finds
+    # bits than the whole product, and the whole product other bits than at
+    # one thread.  _flag_radii holds BLAS at one thread in any number of lanes,
+    # so one flag per block (n * max(k) > 2^16) and blocks of 6 flags (10^4 x
+    # 100 products) give the one-thread per-flag bits at 1 and 2 BLAS threads
+    # and on 1, 2 and 3 usable CPUs, and the caller's thread count comes back
     blas = parallel._openblas()
     if not blas:
         pytest.skip("numpy's BLAS exposes no thread count")
     get, set_threads = blas
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
-    real = radii._sum_segments
-    products = []
-
-    def sum_segments(sq, ks, out):
-        products.append(sq.copy())
-        real(sq, ks, out)
-
     ks, M = np.array(ks), 6
     pts = sample_points(make_body("cube", n), N, key.child(44).child(n))
     frames = haar_frames(n, ks[-1], [key.child(45).child(i) for i in range(M)])
+    expected = np.stack([np.sqrt(np.max(_reduceat_cumsum(pts, frame, ks), axis=0))
+                         for frame in frames])
     old = get()
     try:
         for threads in (1, 2):
             set_threads(threads)
-            expected = np.stack([np.sqrt(np.max(projected_sq_norms(pts, frame, ks), axis=0))
-                                 for frame in frames])
-            monkeypatch.setattr(radii, "_sum_segments", sum_segments)
-            products.clear()
-            got = radii._flag_radii(pts, M, key.child(45), ks)
-            monkeypatch.setattr(radii, "_sum_segments", real)
-            assert get() == threads
-            assert len(products) == M
-            for product, frame in zip(products, frames):
-                assert np.array_equal(product, (pts @ frame)[None])
-            assert np.array_equal(got, expected)
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+                assert np.array_equal(radii._flag_radii(pts, M, key.child(45), ks), expected)
+                assert get() == threads
     finally:
         set_threads(old)
 
