@@ -192,7 +192,7 @@ def centroid_width_check(
     dirs = (frames @ inner.swapaxes(1, 2)).reshape(M, n, -1, _DIRECTION_CHUNK).swapaxes(1, 2)
     hq = np.empty((M, _DIRECTIONS))
 
-    def mean_powers(proj: np.ndarray, lo: int, hi: int, lane: int) -> None:
+    def mean_powers(proj: np.ndarray, lo: int, hi: int, row: int) -> None:
         np.abs(proj, out=proj)
         proj **= q
         np.mean(proj, axis=-2, out=hq.reshape(-1, _DIRECTION_CHUNK)[lo:hi])

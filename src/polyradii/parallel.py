@@ -78,10 +78,10 @@ def lane_count(most: int, lane_floats: int) -> Iterator[int]:
     """Yield the lanes for a loop that can use at most ``most``, each holding
     ``lane_floats`` floats of scratch: one per usable CPU, but only as many as
     keep their scratch within _LANE_FLOATS together, and one when a single lane
-    needs more.  numpy's BLAS runs one thread meanwhile (one_blas_thread), at
-    any lane count, so the lanes own the cores and no product's bits depend on
-    the BLAS thread count the caller set.  A loop holds this around its whole
-    body, the numpy calls on the calling thread between its lane runs included.
+    needs more.  A loop holds this around its whole body, and numpy's BLAS
+    runs one thread meanwhile (one_blas_thread), at any lane count, so the
+    lanes own the cores and no product's bits depend on the BLAS thread count
+    the caller set.
     """
     with one_blas_thread():
         yield min(most, _usable_cpus(), max(1, _LANE_FLOATS // lane_floats))

@@ -6,7 +6,6 @@ hull is ever built; everything reduces to inner products with frames.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +78,7 @@ def projected_sq_norms(points: np.ndarray, frames: np.ndarray, ks) -> np.ndarray
     N, kmax = points.shape[0], ks[-1]
     stack = frames[..., :kmax].reshape(-1, frames.shape[-2], kmax)
     out = np.empty((len(stack), N, len(ks)))
-    _project_stack(points, stack, lambda sq, lo, hi, lane: _sum_segments(sq, ks, out[lo:hi]))
+    _project_stack(points, stack, lambda sq, lo, hi, row: _sum_segments(sq, ks, out[lo:hi]))
     return out.reshape(frames.shape[:-2] + out.shape[1:])
 
 
@@ -101,27 +100,26 @@ def _chunk_rule(N: int, n: int, w: int, split_rows: bool) -> tuple[int, list[int
 
 
 def _project_stack(
-    points: np.ndarray, stack: np.ndarray, reduce, lanes: int | None = None,
-    split_rows: bool = False,
+    points: np.ndarray, stack: np.ndarray, reduce, split_rows: bool = False
 ) -> None:
-    """Call reduce(points[r0:r1] @ stack[lo:hi], lo, hi, lane) over units covering
-    the (B, n, w) stack: each row chunk of each chunk of slices, by _chunk_rule.
+    """Call reduce(points[r0:r1] @ stack[lo:hi], lo, hi, row) over units covering
+    the (B, n, w) stack: row chunk ``row`` (0 when rows are not cut) of each
+    chunk of slices lo..hi, by _chunk_rule.
 
-    Blocks of units run in ``lanes`` lanes (by default parallel.lane_count's
-    for this stack, held for the call, so every product runs on one BLAS
-    thread), each projecting into its own scratch; a slice's row chunks can
-    run in different lanes.  ``reduce`` runs numpy only, may overwrite the
-    product, writes only its own slots lo..hi and indexes any running result
-    or scratch of its own by ``lane``.  A stack of one unit, such as the one
-    frame a Gaussian helper lane projects, is one product on the calling
-    thread, inside the same scope, and never calls run_lanes: lanes never nest.
+    Blocks of units run in parallel.lane_count's lanes for this stack, held for
+    the call, so every product runs on one BLAS thread; each lane projects into
+    its own scratch, and a slice's row chunks can run in different lanes.
+    ``reduce`` runs numpy only, may overwrite the product and writes only its
+    own slots, those of slices lo..hi in row chunk ``row``.  A stack of one
+    unit, such as the one frame a Gaussian helper lane projects, is one product
+    on the calling thread, inside the same scope, and never calls run_lanes:
+    lanes never nest.
     """
     B, (N, n), w = len(stack), points.shape, stack.shape[-1]
     per_chunk, bounds = _chunk_rule(N, n, w, split_rows)
     row_chunks, rows = len(bounds) - 1, bounds[-1] - bounds[-2]
     units = -(-B // per_chunk) * row_chunks
-    with (lane_count(units, per_chunk * rows * w) if lanes is None
-          else contextlib.nullcontext(lanes)) as lanes:
+    with lane_count(units, per_chunk * rows * w) as lanes:
         if units == 1:
             reduce(points @ stack, 0, B, 0)
             return
@@ -135,14 +133,16 @@ def _project_stack(
                 lo, (r0, r1) = chunk * per_chunk, bounds[row : row + 2]
                 hi = min(lo + per_chunk, B)
                 product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
-                reduce(np.matmul(points[r0:r1], stack[lo:hi], out=product), lo, hi, lane)
+                reduce(np.matmul(points[r0:r1], stack[lo:hi], out=product), lo, hi, row)
 
         run_lanes(block, units, lanes, units)
 
 
 def _sum_segments(sq: np.ndarray, ks, out: np.ndarray) -> None:
     """Square the projections sq in place and write their segment prefix sums
-    to out, as projected_sq_norms documents; numpy only."""
+    to out, as projected_sq_norms documents; numpy only.  ``out`` may be
+    sq[..., :len(ks)]: column j gets segment j's sum once that segment, which
+    starts at or past column j, is read, and no later segment reads it."""
     np.square(sq, out=sq)
     bounds = [0, *ks]
     segments = list(zip(bounds[:-1], bounds[1:]))
@@ -199,30 +199,25 @@ def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> n
     _project_stack.  A block's frames hold at most _BLOCK floats, and so do its
     products unless its flags are cut into rows: a flag whose N x max(k)
     product needs more than _BLOCK floats is projected in row chunks, which
-    the lanes share out.  Each lane keeps a running max per flag and k, and
-    the lanes' maxima are merged after the block's lanes stop; the max is
-    exact, so the merge keeps the bits.  The blocks share one
-    parallel.lane_count scope, so numpy's BLAS runs one thread for the frame
-    draws too.
+    the lanes share out.  Each row chunk sums its segments in its own product
+    and writes its max per flag and k once, whichever lane runs it, and the
+    row chunks' maxima are merged after the block's lanes stop; the max is
+    exact, so the merge keeps the bits.
     """
     (N, n), kmax = points.shape, int(ks[-1])
-    per_chunk, bounds = _chunk_rule(N, n, kmax, True)
-    rows = bounds[-1] - bounds[-2]
+    row_chunks = len(_chunk_rule(N, n, kmax, True)[1]) - 1
     # floats a flag adds to a block: its frame, and its product unless that is cut into rows
     flag_floats = (n if N * kmax > _BLOCK else max(N, n)) * kmax
     block = max(1, min(M, _BLOCK // flag_floats))
     peaks = np.empty((M, ks.size))
-    with lane_count(-(-block // per_chunk) * (len(bounds) - 1), per_chunk * rows * kmax) as lanes:
-        sums = np.empty((lanes, min(per_chunk, block) * rows * ks.size))
-        for start in range(0, M, block):
-            keys = [key.child(i) for i in range(start, min(start + block, M))]
-            maxima = np.full((lanes, len(keys), ks.size), -np.inf)  # per lane, over points
+    for start in range(0, M, block):
+        keys = [key.child(i) for i in range(start, min(start + block, M))]
+        maxima = np.empty((row_chunks, len(keys), ks.size))  # per row chunk, over its points
 
-            def running_max(sq, lo, hi, lane):
-                out = sums[lane, : sq.size // kmax * ks.size].reshape(*sq.shape[:-1], ks.size)
-                _sum_segments(sq, ks, out)
-                np.maximum(maxima[lane, lo:hi], np.max(out, axis=-2), out=maxima[lane, lo:hi])
+        def row_max(sq, lo, hi, row):
+            _sum_segments(sq, ks, sq[..., : ks.size])
+            np.max(sq[..., : ks.size], axis=-2, out=maxima[row, lo:hi])
 
-            _project_stack(points, haar_frames(n, kmax, keys), running_max, lanes, True)
-            np.max(maxima, axis=0, out=peaks[start : start + len(keys)])
+        _project_stack(points, haar_frames(n, kmax, keys), row_max, True)
+        np.max(maxima, axis=0, out=peaks[start : start + len(keys)])
     return np.sqrt(peaks)

@@ -76,6 +76,8 @@ def _span(values: list[float]) -> tuple[float, float]:
     lo, hi = min(values), max(values)
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
+    if hi == lo:  # from |v| = 2^52 on, v +- 0.5 can round back to v
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     return lo, hi
 
 

@@ -115,19 +115,26 @@ def test_only_radii_and_gaussian_run_lanes():
     # the stacked projection in radii and the Gaussian replicas are the two
     # lane loops: no other module calls run_lanes or asks for lanes, and
     # grassmann and bodies take only the one-BLAS-thread scope of their QR and
-    # simplex product from parallel
-    imported, calls = {}, []
+    # simplex product from parallel; a function that enters a lane_count scope
+    # runs lanes in it, so no scope is held only to learn a lane count
+    imported, calls, scopes = {}, [], {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "parallel":
                 imported.setdefault(path.name, set()).update(alias.name for alias in node.names)
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_lanes":
                 calls.append(path.name)
+            elif isinstance(node, ast.FunctionDef):
+                called = {getattr(call.func, "id", None)
+                          for call in ast.walk(node) if isinstance(call, ast.Call)}
+                if "lane_count" in called:
+                    scopes[f"{path.stem}.{node.name}"] = "run_lanes" in called
     assert imported == {"radii.py": {"lane_count", "run_lanes"},
                         "gaussian.py": {"lane_count", "run_lanes"},
                         "grassmann.py": {"one_blas_thread"},
                         "bodies.py": {"one_blas_thread"}}
     assert calls == ["gaussian.py", "radii.py"]
+    assert scopes == {"gaussian.projected_max_mc": True, "radii._project_stack": True}
 
 
 def _probe(tmp_path: Path, commands: list[list[str]]) -> list:

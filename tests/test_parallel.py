@@ -295,19 +295,19 @@ def test_run_lanes_stops_every_lane_on_error(monkeypatch):
 
 def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
     # lanes own the cores: while a loop runs, in 1 lane or 2, numpy's OpenBLAS
-    # runs one thread, in the lanes and on the calling thread between its lane
-    # runs (radius_profile's frame draws), and it gets its old count back after
-    # the loop, also when a helper lane raised
+    # runs one thread, and so does the QR of radius_profile's frame draws on
+    # the calling thread between its lane runs; it gets its old count back
+    # after the loop, also when a helper lane raised
     blas = parallel._openblas()
     if not blas:
         pytest.skip("numpy's BLAS exposes no thread count")
     get, set_threads = blas
     seen = []
-    real_frames, real_sums = radii.haar_frames, radii._sum_segments
+    real_qr, real_sums = np.linalg.qr, radii._sum_segments
 
-    def frames(n, k, keys):
+    def qr(a):
         seen.append(get())
-        return real_frames(n, k, keys)
+        return real_qr(a)
 
     def sum_segments(sq, ks, out):
         seen.append(get())
@@ -321,7 +321,7 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
             if lane == 1:
                 raise RuntimeError("helper lane")
 
-    monkeypatch.setattr(radii, "haar_frames", frames)
+    monkeypatch.setattr(np.linalg, "qr", qr)
     monkeypatch.setattr(radii, "_sum_segments", sum_segments)
     # blocks of 6 flags of 10^4 x 100 floats each, one flag per lane block
     cloud = PointCloud(sample_points(make_body("cube", 100), 10_000, key.child(0)))

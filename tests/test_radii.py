@@ -294,25 +294,32 @@ def test_row_chunks_just_above_the_small_gemm_cut_keep_the_bits(key, monkeypatch
         assert np.array_equal(radii._flag_radii(pts, M, key.child(41), ks), expected)
 
 
-def test_row_chunks_keep_the_bits_of_the_whole_product(key):
+def test_row_chunks_keep_the_bits_of_the_whole_product(key, monkeypatch):
     # at one BLAS thread OpenBLAS computes a product in tiles of 12 rows, and
     # at w = 199 or 260 the last w % 8 columns of a row get other bits when
     # its chunk starts off that grid (chunks of 329 and 256 rows change
     # hundreds of entries); the chunk rule's multiples of _ROW_TILE keep
-    # every entry, also at the in-regime n = k = 100
+    # every entry, also at the in-regime n = k = 100, and on 1, 2 and 3
+    # usable CPUs every row chunk is reduced once, whichever lane runs it
     for n, w, N in ((200, 199, 4000), (260, 260, 3000), (100, 100, 10_000), (64, 33, 9001)):
         pts = standard_normal(key.child(42).child(n), N * n).reshape(N, n)
         frame = haar_frames(n, w, [key.child(43).child(n)])[0]
-        chunks = []
-
-        def keep(product, lo, hi, lane):
-            chunks.append(product[0].copy())
-
+        row_chunks = len(radii._chunk_rule(N, n, w, True)[1]) - 1
+        assert row_chunks > 2
         with parallel.one_blas_thread():
-            radii._project_stack(pts, frame[None], keep, 1, True)
             whole = pts @ frame
-        assert len(chunks) == len(radii._chunk_rule(N, n, w, True)[1]) - 1 > 2
-        assert np.array_equal(np.concatenate(chunks), whole)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+            chunks, rows = {}, []
+
+            def keep(product, lo, hi, row):
+                assert (lo, hi) == (0, 1)
+                rows.append(row)
+                chunks[row] = product[0].copy()
+
+            radii._project_stack(pts, frame[None], keep, True)
+            assert sorted(rows) == list(range(row_chunks))
+            assert np.array_equal(np.concatenate([chunks[row] for row in range(row_chunks)]), whole)
 
 
 @pytest.mark.parametrize("n, N, ks", [(260, 3000, [1, 199, 260]), (100, 10_000, [1, 100])])

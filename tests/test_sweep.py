@@ -288,6 +288,19 @@ def test_cli_sweep_and_plot(tmp_path, capsys):
     assert rc == 0 and (tmp_path / "s.svg").exists()
 
 
+def test_cli_plot_of_a_constant_column_at_a_seed_past_2_to_the_53(tmp_path):
+    # a constant column is widened by +-0.5, which rounds away at such a seed;
+    # the plot must still have an x range and be written
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BALL_CFG, "N_list": [64], "M": 2, "R": 1,
+                                    "seed": 2**64 - 1, "out": str(tmp_path / "s.csv")}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
+    svg = tmp_path / "s.svg"
+    argv = ["plot", str(tmp_path / "s.csv"), "--x", "seed", "--y", "ratio", "--out", str(svg)]
+    assert cli.main(argv) == 0
+    assert ET.parse(svg).getroot().tag.endswith("svg")
+
+
 def test_cli_sweep_replica_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BALL_CFG, "out": str(tmp_path / "s.csv")}))
