@@ -117,12 +117,12 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
     targets the full expectation over both sources of randomness, which by
     rotation invariance equals expected_max_chi(k, N).  Replica i's cloud comes
     from key.child(i) and its frame from key.child(i).child(1), and it writes
-    only vals[i].  The replicas run in parallel.lane_count lanes, each holding
-    one (N, n) cloud at a time, and in shrinking blocks whose frames, drawn as
-    one stack, hold at most radii._BLOCK floats over all lanes (one replica
-    per block when a frame needs more).  A frame has the same bits at any
-    block size and the mean reduces vals in index order, so the result has the
-    same bits at any lane count.
+    only vals[i].  The replicas run in parallel.lane_count lanes, on one BLAS
+    thread, each holding one (N, n) cloud at a time, and in shrinking blocks
+    whose frames, drawn as one stack, hold at most radii._BLOCK floats over
+    all lanes (one replica per block when a frame needs more).  A frame has
+    the same bits at any block size and the mean reduces vals in index order,
+    so the result has the same bits at any lane count.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -137,6 +137,6 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
             pts = gaussian_cloud(n, N, key.child(i))
             vals[i] = np.sqrt(np.max(projected_sq_norms(pts, frame, [k])))
 
-    with lane_count(replicas, N * n) as lanes:
-        run_lanes(block, replicas, lanes, max(1, _BLOCK // (lanes * n * k)))
+    lanes = lane_count(replicas, N * n)
+    run_lanes(block, replicas, lanes, max(1, _BLOCK // (lanes * n * k)))
     return mean_and_stderr(vals)

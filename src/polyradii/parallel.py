@@ -5,7 +5,7 @@ run_lanes runs them.  A loop writes each of its slots from exactly one lane
 and reduces them in index order afterwards, so its result has the same bits at
 any lane count.  numpy releases the interpreter lock in the stream words, the
 inverse normal and the GEMM, which is where the time goes.  Lanes own the
-cores: while any loop runs, in however many lanes, numpy's BLAS runs one thread.
+cores: run_lanes holds numpy's BLAS at one thread while any of its lanes runs.
 """
 
 from __future__ import annotations
@@ -73,18 +73,12 @@ def one_blas_thread() -> Iterator[None]:
             blas[1](threads)
 
 
-@contextlib.contextmanager
-def lane_count(most: int, lane_floats: int) -> Iterator[int]:
-    """Yield the lanes for a loop that can use at most ``most``, each holding
+def lane_count(most: int, lane_floats: int) -> int:
+    """The lanes for a loop that can use at most ``most``, each holding
     ``lane_floats`` floats of scratch: one per usable CPU, but only as many as
     keep their scratch within _LANE_FLOATS together, and one when a single lane
-    needs more.  A loop holds this around its whole body, and numpy's BLAS
-    runs one thread meanwhile (one_blas_thread), at any lane count, so the
-    lanes own the cores and no product's bits depend on the BLAS thread count
-    the caller set.
-    """
-    with one_blas_thread():
-        yield min(most, _usable_cpus(), max(1, _LANE_FLOATS // lane_floats))
+    needs more."""
+    return min(most, _usable_cpus(), max(1, _LANE_FLOATS // lane_floats))
 
 
 def run_lanes(
@@ -104,7 +98,8 @@ def run_lanes(
     ``lane`` indexes the caller's scratch for that lane: a large array that a
     helper frees stays resident in its thread's malloc arena.
     A block must not call run_lanes: a helper that waited on helpers could
-    wait on itself once the pool is busy.
+    wait on itself once the pool is busy.  Every lane runs numpy's BLAS at
+    one thread (one_blas_thread), whatever thread count the caller set.
     """
     global _helpers
     failed = threading.Event()
@@ -135,10 +130,11 @@ def run_lanes(
         with _helpers_lock:
             if _helpers is None:
                 _helpers = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="polyradii-lane")
-    helpers = [_helpers.submit(run, lane) for lane in range(1, lanes)]
-    try:
-        run(0)
-    finally:
-        wait(helpers)
+    with one_blas_thread():
+        helpers = [_helpers.submit(run, lane) for lane in range(1, lanes)]
+        try:
+            run(0)
+        finally:
+            wait(helpers)
     for helper in helpers:
         helper.result()

@@ -12,7 +12,7 @@ import numpy as np
 
 from .estimates import Estimate
 from .grassmann import haar_frames
-from .parallel import lane_count, run_lanes
+from .parallel import lane_count, one_blas_thread, run_lanes
 from .streams import StreamKey
 
 _BLOCK = 1 << 16  # bound on a chunk's product and on a block of frames, in float64s
@@ -106,36 +106,35 @@ def _project_stack(
     the (B, n, w) stack: row chunk ``row`` (0 when rows are not cut) of each
     chunk of slices lo..hi, by _chunk_rule.
 
-    Blocks of units run in parallel.lane_count's lanes for this stack, held for
-    the call, so every product runs on one BLAS thread; each lane projects into
-    its own scratch, and a slice's row chunks can run in different lanes.
-    ``reduce`` runs numpy only, may overwrite the product and writes only its
-    own slots, those of slices lo..hi in row chunk ``row``.  A stack of one
-    unit, such as the one frame a Gaussian helper lane projects, is one product
-    on the calling thread, inside the same scope, and never calls run_lanes:
-    lanes never nest.
+    Blocks of units run in parallel.lane_count's lanes through run_lanes, so
+    every product runs on one BLAS thread; each lane projects into its own
+    scratch, and a slice's row chunks can run in different lanes.  ``reduce``
+    runs numpy only, may overwrite the product and writes only its own slots,
+    those of slices lo..hi in row chunk ``row``.  One unit, such as the one
+    frame a Gaussian helper lane projects, is one product on the calling
+    thread under one_blas_thread and never calls run_lanes: lanes never nest.
     """
     B, (N, n), w = len(stack), points.shape, stack.shape[-1]
     per_chunk, bounds = _chunk_rule(N, n, w, split_rows)
     row_chunks, rows = len(bounds) - 1, bounds[-1] - bounds[-2]
     units = -(-B // per_chunk) * row_chunks
-    with lane_count(units, per_chunk * rows * w) as lanes:
-        if units == 1:
+    if units == 1:
+        with one_blas_thread():
             reduce(points @ stack, 0, B, 0)
-            return
-        lanes = min(lanes, units)
-        scratch = np.empty((lanes, min(per_chunk, B) * rows * w))
+        return
+    lanes = lane_count(units, per_chunk * rows * w)
+    scratch = np.empty((lanes, min(per_chunk, B) * rows * w))
 
-        def block(lane: int, start: int, stop: int):
-            for unit in range(start, stop):
-                yield
-                chunk, row = divmod(unit, row_chunks)
-                lo, (r0, r1) = chunk * per_chunk, bounds[row : row + 2]
-                hi = min(lo + per_chunk, B)
-                product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
-                reduce(np.matmul(points[r0:r1], stack[lo:hi], out=product), lo, hi, row)
+    def block(lane: int, start: int, stop: int):
+        for unit in range(start, stop):
+            yield
+            chunk, row = divmod(unit, row_chunks)
+            lo, (r0, r1) = chunk * per_chunk, bounds[row : row + 2]
+            hi = min(lo + per_chunk, B)
+            product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
+            reduce(np.matmul(points[r0:r1], stack[lo:hi], out=product), lo, hi, row)
 
-        run_lanes(block, units, lanes, units)
+    run_lanes(block, units, lanes, units)
 
 
 def _sum_segments(sq: np.ndarray, ks, out: np.ndarray) -> None:

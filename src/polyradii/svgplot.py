@@ -72,12 +72,14 @@ def _read_groups(csv_path: str, x: str, y: str):
     return groups
 
 
-def _span(values: list[float]) -> tuple[float, float]:
+def _span(values: list[float], col: str) -> tuple[float, float]:
     lo, hi = min(values), max(values)
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
     if hi == lo:  # from |v| = 2^52 on, v +- 0.5 can round back to v
         lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"column {col!r} spans more than the float range")
     return lo, hi
 
 
@@ -87,8 +89,8 @@ def emit_plot(csv_path: str, x: str, y: str, out_path: str) -> None:
     groups = _read_groups(csv_path, x, y)
     xs = [p[0] for pts in groups.values() for p in pts]
     ys = [p[1] for pts in groups.values() for p in pts]
-    x_lo, x_hi = _span(xs)
-    y_lo, y_hi = _span(ys)
+    x_lo, x_hi = _span(xs, x)
+    y_lo, y_hi = _span(ys, y)
     plot_w = _WIDTH - _ML - _MR
     plot_h = _HEIGHT - _MT - _MB
 

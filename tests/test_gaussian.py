@@ -173,16 +173,11 @@ def test_lanes_keep_the_clouds_within_budget(key, monkeypatch):
     # lane once one cloud alone needs more (10^7 x 16 floats are 1.28 GB)
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 32)
     assert parallel._LANE_FLOATS == 1 << 22
-
-    def lanes(most, lane_floats):
-        with parallel.lane_count(most, lane_floats) as count:
-            return count
-
-    assert lanes(128, 1000 * 64) == 32
-    assert lanes(5, 1000 * 64) == 5
-    assert lanes(128, (1 << 16) * 16) == 4
-    assert lanes(128, (1 << 18) * 16) == 1
-    assert lanes(128, 10**7 * 16) == 1
+    assert parallel.lane_count(128, 1000 * 64) == 32
+    assert parallel.lane_count(5, 1000 * 64) == 5
+    assert parallel.lane_count(128, (1 << 16) * 16) == 4
+    assert parallel.lane_count(128, (1 << 18) * 16) == 1
+    assert parallel.lane_count(128, 10**7 * 16) == 1
     # projected_max_mc runs its clouds in as many threads as lane_count allows, with
     # the same result: 3 usable CPUs and room for 3, 2 and 1 clouds of 20 x 8;
     # the first blocks of 12 replicas hold 2 or 3 each, and each lane takes one

@@ -114,27 +114,35 @@ def test_only_parallel_decides_lanes():
 def test_only_radii_and_gaussian_run_lanes():
     # the stacked projection in radii and the Gaussian replicas are the two
     # lane loops: no other module calls run_lanes or asks for lanes, and
-    # grassmann and bodies take only the one-BLAS-thread scope of their QR and
-    # simplex product from parallel; a function that enters a lane_count scope
-    # runs lanes in it, so no scope is held only to learn a lane count
-    imported, calls, scopes = {}, [], {}
+    # grassmann, bodies and radii's one-unit product take the one-BLAS-thread
+    # scope from parallel; run_lanes runs lane 0 and submits the helper lanes
+    # only inside that scope, so every lane of any loop runs one BLAS thread
+    imported, calls = {}, []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "parallel":
                 imported.setdefault(path.name, set()).update(alias.name for alias in node.names)
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_lanes":
                 calls.append(path.name)
-            elif isinstance(node, ast.FunctionDef):
-                called = {getattr(call.func, "id", None)
-                          for call in ast.walk(node) if isinstance(call, ast.Call)}
-                if "lane_count" in called:
-                    scopes[f"{path.stem}.{node.name}"] = "run_lanes" in called
-    assert imported == {"radii.py": {"lane_count", "run_lanes"},
+    assert imported == {"radii.py": {"lane_count", "one_blas_thread", "run_lanes"},
                         "gaussian.py": {"lane_count", "run_lanes"},
                         "grassmann.py": {"one_blas_thread"},
                         "bodies.py": {"one_blas_thread"}}
     assert calls == ["gaussian.py", "radii.py"]
-    assert scopes == {"gaussian.projected_max_mc": True, "radii._project_stack": True}
+
+    def starts(root):  # the calls in root that start a lane: run(0) and each submit
+        return [node for node in ast.walk(root) if isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) == "run"
+                     or getattr(node.func, "attr", None) == "submit")]
+
+    tree = ast.parse((SRC / "parallel.py").read_text(encoding="utf-8"))
+    runner = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "run_lanes")
+    held = [node for node in ast.walk(runner) if isinstance(node, ast.With)
+            and any(getattr(getattr(item.context_expr, "func", None), "id", None)
+                    == "one_blas_thread" for item in node.items)]
+    inside = [call for scope in held for call in starts(scope)]
+    assert len(starts(runner)) == 2 and all(call in inside for call in starts(runner))
 
 
 def _probe(tmp_path: Path, commands: list[list[str]]) -> list:

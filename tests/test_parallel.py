@@ -297,7 +297,9 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
     # lanes own the cores: while a loop runs, in 1 lane or 2, numpy's OpenBLAS
     # runs one thread, and so does the QR of radius_profile's frame draws on
     # the calling thread between its lane runs; it gets its old count back
-    # after the loop, also when a helper lane raised
+    # after the loop, also when a helper lane raised.  run_lanes holds the
+    # thread itself, whoever calls it, and a one-unit projection, which never
+    # calls run_lanes, holds it too
     blas = parallel._openblas()
     if not blas:
         pytest.skip("numpy's BLAS exposes no thread count")
@@ -341,9 +343,15 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
         with ThreadPoolExecutor(1) as helpers:
             monkeypatch.setattr(parallel, "_helpers", helpers)
             with pytest.raises(RuntimeError, match="helper lane"):
-                with parallel.lane_count(8, 1) as lanes:
-                    parallel.run_lanes(block, 8, lanes, 8)
+                parallel.run_lanes(block, 8, parallel.lane_count(8, 1), 8)
         assert seen and set(seen) == {1}
+        assert get() == 2
+        # one 64 x 8 frame over 100 points is one unit, projected on the calling thread
+        pts = sample_points(make_body("cube", 64), 100, key.child(2))
+        frame = haar_frames(64, 8, [key.child(3)])[0]
+        seen.clear()
+        projected_sq_norms(pts, frame, [3, 8])
+        assert seen == [1]
         assert get() == 2
     finally:
         set_threads(old)

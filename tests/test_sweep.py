@@ -245,6 +245,22 @@ def test_emit_plot_non_finite_value_exits_1(tmp_path, capsys):
             emit_plot(str(csv_path), "k", "estimate", str(svg))
 
 
+def test_plot_of_a_column_whose_span_overflows_exits_1(tmp_path, capsys):
+    # every value is finite, but the span from -1e308 to 1e308 is not, and a
+    # constant column at the largest float has no finite span to widen to: no
+    # coordinate or tick could be finite, so the plot fails like a non-finite value
+    csv_path = tmp_path / "wide.csv"
+    svg = tmp_path / "x.svg"
+    for rows, col in (("-1e308,1\n1e308,2\n", "'k'"),
+                      ("1,1.7976931348623157e308\n2,1.7976931348623157e308\n", "'ratio'")):
+        csv_path.write_text("k,ratio\n" + rows)
+        argv = ["plot", str(csv_path), "--x", "k", "--y", "ratio", "--out", str(svg)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"polyradii: error: column {col} spans more than the float range\n")
+        assert not svg.exists()
+
+
 def test_emit_plot_escapes_markup_in_labels(tmp_path):
     csv_path = tmp_path / "markup.csv"
     csv_path.write_text("body,N,k<n,y&z>\na&b<c,10,1,1.5\na&b<c,10,2,2.5\n")
