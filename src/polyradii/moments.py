@@ -15,6 +15,7 @@ import numpy as np
 from .bodies import Body, isotropic_constant, sample_points
 from .estimates import Estimate, mean_and_stderr, power_estimate
 from .grassmann import haar_frames, haar_subspace, sphere_marginal_moment, sphere_points
+from .parallel import one_blas_thread
 from .radii import _project_stack, projected_sq_norms
 from .streams import StreamKey
 
@@ -161,9 +162,10 @@ def centroid_width_check(
     For each of M Haar subspaces F the left side is the Monte Carlo
     I_{-q}(K,F); the right side integrates h_{Z_q(K)} over directions inside
     F (the projection of Z_q onto F has exactly that support restriction).
-    Frames and directions are drawn in the calling thread; both sides project
-    the points through radii, the right side onto a stack of _DIRECTION_CHUNK
-    directions a slice.  Every ratio has the bits of a loop over the subspaces.
+    Frames and directions are drawn in the calling thread, the directions as
+    one product on one BLAS thread; both sides project the points through
+    radii, the right side onto a stack of _DIRECTION_CHUNK directions a slice.
+    Every ratio has the bits of a loop over the subspaces.
     """
     n = body.dim
     if int(q) != q or q < 1:
@@ -189,7 +191,9 @@ def centroid_width_check(
     lhs = np.array([np.mean(row) ** (-1.0 / q) for row in powers])
     del powers
     # subspace i's directions c..c+16 are slice i * 64 / 16 + c / 16
-    dirs = (frames @ inner.swapaxes(1, 2)).reshape(M, n, -1, _DIRECTION_CHUNK).swapaxes(1, 2)
+    with one_blas_thread():
+        dirs = frames @ inner.swapaxes(1, 2)
+    dirs = dirs.reshape(M, n, -1, _DIRECTION_CHUNK).swapaxes(1, 2)
     hq = np.empty((M, _DIRECTIONS))
 
     def mean_powers(proj: np.ndarray, lo: int, hi: int, row: int) -> None:

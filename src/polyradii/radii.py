@@ -139,9 +139,8 @@ def _project_stack(
 
 def _sum_segments(sq: np.ndarray, ks, out: np.ndarray) -> None:
     """Square the projections sq in place and write their segment prefix sums
-    to out, as projected_sq_norms documents; numpy only.  ``out`` may be
-    sq[..., :len(ks)]: column j gets segment j's sum once that segment, which
-    starts at or past column j, is read, and no later segment reads it."""
+    to out, an array separate from sq, as projected_sq_norms documents; numpy
+    only."""
     np.square(sq, out=sq)
     bounds = [0, *ks]
     segments = list(zip(bounds[:-1], bounds[1:]))
@@ -175,10 +174,11 @@ def radius_profile(
     N, n = cloud.points.shape
     if ks is None:
         ks = np.arange(1, n + 1)
-    ks = np.asarray(ks, dtype=int)
-    outside = ks[(ks < 1) | (ks > n)]
-    if outside.size:
+    # checked as given, before a k too large for a C long reaches np.asarray
+    outside = [k for k in ks if not 1 <= k <= n]
+    if outside:
         raise ValueError(f"k={outside[0]} outside 1..{n}")
+    ks = np.asarray(ks, dtype=int)
     if ks.size == 0 or np.any(np.diff(ks) <= 0):
         raise ValueError(f"k values must be strictly increasing within 1..{n}")
     if M < 2:
@@ -198,7 +198,7 @@ def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> n
     _project_stack.  A block's frames hold at most _BLOCK floats, and so do its
     products unless its flags are cut into rows: a flag whose N x max(k)
     product needs more than _BLOCK floats is projected in row chunks, which
-    the lanes share out.  Each row chunk sums its segments in its own product
+    the lanes share out.  Each row chunk sums its segments into its own array
     and writes its max per flag and k once, whichever lane runs it, and the
     row chunks' maxima are merged after the block's lanes stop; the max is
     exact, so the merge keeps the bits.
@@ -214,8 +214,9 @@ def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> n
         maxima = np.empty((row_chunks, len(keys), ks.size))  # per row chunk, over its points
 
         def row_max(sq, lo, hi, row):
-            _sum_segments(sq, ks, sq[..., : ks.size])
-            np.max(sq[..., : ks.size], axis=-2, out=maxima[row, lo:hi])
+            sums = np.empty(sq.shape[:-1] + (ks.size,))
+            _sum_segments(sq, ks, sums)
+            np.max(sums, axis=-2, out=maxima[row, lo:hi])
 
         _project_stack(points, haar_frames(n, kmax, keys), row_max, True)
         np.max(maxima, axis=0, out=peaks[start : start + len(keys)])

@@ -244,6 +244,10 @@ def gaussian_oracle_report(
             raise ValueError(f"k={k} outside 1..n for n={ambient}")
     if min(N_list) < 1:
         raise ValueError(f"N={min(N_list)} must be >= 1")
+    try:
+        float(max(N_list))  # as expected_max_chi's N * x converts it
+    except OverflowError:
+        raise ValueError(f"N={max(N_list)} is above the float range") from None
     root = StreamKey(seed)
     rows = []
     for i, k in enumerate(k_list):

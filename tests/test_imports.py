@@ -6,7 +6,8 @@ import.  Every public name a package module defines is read by some package
 module; what only the tests read lives in ``tests/``.  Only ``parallel``
 starts threads or counts CPUs, so the lane policy stays in one module, and
 only ``radii`` and ``gaussian`` run lanes, so every laned projection goes
-through one function.  Only
+through one function.  Every product and QR runs inside one_blas_thread, held
+by its own function or by the lane runner.  Only
 the chi quadrature behind ``gaussian`` loads scipy.integrate: it pulls in some
 290 modules that every other command would pay for in start-up time and
 memory.
@@ -114,9 +115,10 @@ def test_only_parallel_decides_lanes():
 def test_only_radii_and_gaussian_run_lanes():
     # the stacked projection in radii and the Gaussian replicas are the two
     # lane loops: no other module calls run_lanes or asks for lanes, and
-    # grassmann, bodies and radii's one-unit product take the one-BLAS-thread
-    # scope from parallel; run_lanes runs lane 0 and submits the helper lanes
-    # only inside that scope, so every lane of any loop runs one BLAS thread
+    # grassmann, bodies, moments and radii's one-unit product take the
+    # one-BLAS-thread scope from parallel; run_lanes runs lane 0 and submits
+    # the helper lanes only inside that scope, so every lane of any loop runs
+    # one BLAS thread
     imported, calls = {}, []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -127,7 +129,8 @@ def test_only_radii_and_gaussian_run_lanes():
     assert imported == {"radii.py": {"lane_count", "one_blas_thread", "run_lanes"},
                         "gaussian.py": {"lane_count", "run_lanes"},
                         "grassmann.py": {"one_blas_thread"},
-                        "bodies.py": {"one_blas_thread"}}
+                        "bodies.py": {"one_blas_thread"},
+                        "moments.py": {"one_blas_thread"}}
     assert calls == ["gaussian.py", "radii.py"]
 
     def starts(root):  # the calls in root that start a lane: run(0) and each submit
@@ -143,6 +146,46 @@ def test_only_radii_and_gaussian_run_lanes():
                     == "one_blas_thread" for item in node.items)]
     inside = [call for scope in held for call in starts(scope)]
     assert len(starts(runner)) == 2 and all(call in inside for call in starts(runner))
+
+
+def _holds_one_blas_thread(node: ast.AST) -> bool:
+    return isinstance(node, ast.With) and any(
+        getattr(getattr(item.context_expr, "func", None), "id", None) == "one_blas_thread"
+        for item in node.items)
+
+
+def test_every_product_runs_on_one_blas_thread():
+    # each @, np.matmul and np.linalg.qr of the package sits inside a
+    # `with one_blas_thread()` of its own function, or in a generator that the
+    # enclosing function passes to run_lanes, which holds that scope for every lane
+    sites, loose = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for op in ast.walk(tree):
+            if not (isinstance(op, ast.BinOp | ast.AugAssign) and isinstance(op.op, ast.MatMult)
+                    or isinstance(op, ast.Call)
+                    and ast.unparse(op.func) in ("np.matmul", "np.linalg.qr")):
+                continue
+            sites.add(path.name)
+            node = parent.get(op)
+            while not (node is None or _holds_one_blas_thread(node)
+                       or isinstance(node, ast.FunctionDef | ast.Lambda)):
+                node = parent.get(node)
+            if isinstance(node, ast.FunctionDef):
+                outer = parent.get(node)
+                while outer is not None and not isinstance(outer, ast.FunctionDef):
+                    outer = parent.get(outer)
+                laned = outer is not None and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == "run_lanes"
+                    and getattr(call.args[0], "id", None) == node.name for call in ast.walk(outer))
+                generator = any(isinstance(y, ast.Yield) for y in ast.walk(node))
+                if laned and generator:
+                    continue
+            if not _holds_one_blas_thread(node):
+                loose.append(f"{path.name}:{op.lineno}")
+    assert sites == {"bodies.py", "grassmann.py", "moments.py", "radii.py"}
+    assert loose == []
 
 
 def _probe(tmp_path: Path, commands: list[list[str]]) -> list:

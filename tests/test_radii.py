@@ -352,6 +352,32 @@ def test_profiles_have_the_same_bits_at_any_blas_thread_and_lane_count(
         set_threads(old)
 
 
+@pytest.mark.parametrize("n, N, ks", [(100, 10_000, [1, 10, 50, 100]), (16, 64, [1, 4, 8, 16])])
+def test_segment_sums_never_write_over_their_input(key, monkeypatch, n, N, ks):
+    # each unit of the max kernel sums its segments into an array of its own:
+    # on the in-regime cell, whose 50-column segment goes to np.add.reduceat,
+    # and on a block of small flags, summed by column adds, at 1 and 2 usable
+    # CPUs, and the profile keeps the bits of the per-flag reference
+    overlaps, widest = [], []
+    sum_segments = radii._sum_segments
+
+    def checked(sq, ks, out):
+        overlaps.append(np.shares_memory(sq, out))
+        widest.append(int(max(np.diff([0, *ks]))))
+        sum_segments(sq, ks, out)
+
+    monkeypatch.setattr(radii, "_sum_segments", checked)
+    cloud = PointCloud(sample_points(make_body("cube", n), N, key.child(46).child(n)))
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+        overlaps.clear()
+        prof = radius_profile(cloud, 4, key.child(47), ks)
+        assert len(overlaps) > 0 and not any(overlaps)
+        values, stderrs = _reference_profile(cloud, 4, key.child(47), prof.ks)
+        assert np.array_equal(prof.values, values) and np.array_equal(prof.stderrs, stderrs)
+    assert set(widest) == {50 if n == 100 else 8}
+
+
 def test_row_chunks_never_fall_to_the_small_gemm_cut():
     # a flag is cut into rows only when its N x w product exceeds _BLOCK floats;
     # then every row chunk's GEMM does more than 10^6 multiply-adds, unless the

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from polyradii.bodies import Body, make_body
+from polyradii.gaussian import expected_max_chi
 from polyradii.svgplot import emit_plot
 from polyradii.sweep import (
     CSV_COLUMNS,
@@ -375,8 +376,9 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
         cfg_path.write_text(json.dumps(small))
         assert cli.main(["check", "--config", str(cfg_path), "--q", "1"]) == 1
         assert f"check needs n >= 5, got n={n}" in capsys.readouterr().err
-    # estimate names an out-of-range k and the range it must lie in
-    for bad in ("5", "0"):
+    # estimate names an out-of-range k and the range it must lie in, also one
+    # too large for a C long
+    for bad in ("5", "0", str(10**30)):
         assert cli.main(["estimate", "--body", "cube", "--n", "4", "--N", "10", "--k", bad]) == 1
         assert f"k={bad} outside 1..4" in capsys.readouterr().err
     # check --q outside the suite's range fails before any check runs
@@ -433,6 +435,22 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
         captured = capsys.readouterr()
         assert f"polyradii: error: {message}" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_cli_gaussian_rejects_an_N_above_the_float_range(capsys):
+    # the oracle's integrand multiplies by N as a float: an N that no float holds
+    # exits 1 before the first row, whatever the replica count, and the largest
+    # N that rounds to a float keeps the value of that float
+    top = 2**1024 - 2**970  # the least int that float() rejects
+    for N in (str(10**400), f"100,{top}"):
+        for M in ("0", "2", "128"):
+            assert cli.main(["gaussian", "--k", "1", "--N", N, "--M", M]) == 1
+            captured = capsys.readouterr()
+            big = N.split(",")[-1]
+            assert captured.err == f"polyradii: error: N={big} is above the float range\n"
+            assert captured.out == ""
+    rows = gaussian_oracle_report([1], [top - 1], M=0, seed=1)
+    assert rows[0].oracle == expected_max_chi(1, int(sys.float_info.max))
 
 
 def test_python_m_polyradii_matches_cli_main(capsys):
