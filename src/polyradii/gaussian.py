@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammaincc, gammainccinv, gammaln
 
 from .estimates import Estimate, mean_and_stderr
 from .grassmann import haar_frames
@@ -28,9 +28,14 @@ _ABS_TOL = 1e-9  # absolute error target of expected_max_chi
 def expected_max_chi(k: int, N: int) -> float:
     """E max over N independent chi_k variables, by adaptive quadrature.
 
-    Integrates 1 - F(t)^N over [0, t_max] where the truncation point comes
-    from the union bound N (1 - F(t)): the discarded tail is below _ABS_TOL.
-    F^N is evaluated as exp(N log1p(-sf)) so huge N stays stable.
+    1 - F(t)^N falls from 1 to 0 over a window of width O(1) near
+    max(sqrt k, sqrt(2 log N)), which one quadrature from 0 misses once k is
+    large.  Two chi quantiles bracket it: below the lower one F^N is under
+    _ABS_TOL / (4 hi), above the upper one N (1 - F) is under _ABS_TOL / 4.
+    The value is the lower quantile plus the integral of 1 - F^N between
+    them, with F^N evaluated as exp(N log1p(-sf)) so huge N stays stable.
+    The error is within _ABS_TOL for k up to 10^7; above that gammaincc's own
+    accuracy bounds it, at about 1.2e-7 for k = 10^8 and 4e-7 for k = 10^9.
     """
     # imported here, not at module level: it loads ~290 modules only this oracle needs
     from scipy.integrate import quad
@@ -45,11 +50,14 @@ def expected_max_chi(k: int, N: int) -> float:
             return 1.0
         return -math.expm1(N * math.log1p(-sf))
 
-    t_max = max(math.sqrt(k), 1.0)
-    while N * float(gammaincc(a, 0.5 * t_max * t_max)) > _ABS_TOL / max(t_max, 1.0):
-        t_max *= 2.0
-    value, _ = quad(integrand, 0.0, t_max, epsabs=0.5 * _ABS_TOL, limit=200)
-    return float(value)
+    def quantile(sf: float) -> float:
+        return math.sqrt(2.0 * float(gammainccinv(a, sf)))
+
+    hi = quantile(0.25 * _ABS_TOL / N)
+    # 1 - F(lo) = 1 - (tol / 4 hi)^(1/N), exact for huge N
+    lo = quantile(-math.expm1(math.log(0.25 * _ABS_TOL / hi) / N))
+    value, _ = quad(integrand, lo, hi, epsabs=0.5 * _ABS_TOL, limit=200)
+    return lo + float(value)
 
 
 def tail_integral(k: int, t: float) -> float:

@@ -19,16 +19,11 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 _LANE_FLOATS = 1 << 22  # bound on the scratch of 2+ lanes together, in float64s (32 MiB)
 
-# Helper threads for lanes 1.., made on first use and then reused: a pool made
-# per call raised the peak RSS of the gaussian benchmark by up to 8%.  It is
-# sized from os.cpu_count(), which no affinity mask exceeds, and starts a
-# thread only when a call needs one more than it has.
-_helpers: ThreadPoolExecutor | None = None
-_helpers_lock = threading.Lock()
-
-# get and set of the thread count of numpy's OpenBLAS, looked up on first use;
-# () where numpy links no such library, and then the count is left as it is
-_blas: tuple | None = None
+# Helper threads for lanes 1.., made once at import and reused: a pool made per
+# call raised the peak RSS of the gaussian benchmark by up to 8%.  It is sized
+# from os.cpu_count(), which no affinity mask exceeds, and starts a thread only
+# when work is submitted and it has no idle one, so importing it starts none.
+_helpers = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="polyradii-lane")
 
 
 def _usable_cpus() -> int:
@@ -39,19 +34,21 @@ def _usable_cpus() -> int:
 
 
 def _openblas() -> tuple:
-    """The get and set functions of the thread count of the OpenBLAS numpy links."""
-    global _blas
-    if _blas is None:
-        try:
-            from numpy._core import _multiarray_umath
+    """The get and set functions of the thread count of the OpenBLAS numpy
+    links, or () where numpy links no such library."""
+    try:
+        from numpy._core import _multiarray_umath
 
-            # a handle on numpy's own module finds the symbols in the libraries it links
-            blas = ctypes.CDLL(_multiarray_umath.__file__)
-            _blas = (blas.scipy_openblas_get_num_threads64_,
-                     blas.scipy_openblas_set_num_threads64_)
-        except (ImportError, OSError, AttributeError):
-            _blas = ()
-    return _blas
+        # a handle on numpy's own module finds the symbols in the libraries it links
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+        return (blas.scipy_openblas_get_num_threads64_,
+                blas.scipy_openblas_set_num_threads64_)
+    except (ImportError, OSError, AttributeError):
+        return ()
+
+
+# looked up once at import; where it is (), the thread count is left as it is
+_blas = _openblas()
 
 
 @contextlib.contextmanager
@@ -62,15 +59,14 @@ def one_blas_thread() -> Iterator[None]:
     not runs here.  No other thread may use BLAS meanwhile at more threads,
     which lanes never do.  The count is the process's: two threads that call
     polyradii at once are not supported, since one can reset it mid-call."""
-    blas = _openblas()
-    threads = blas[0]() if blas else 1
+    threads = _blas[0]() if _blas else 1
     if threads > 1:
-        blas[1](1)
+        _blas[1](1)
     try:
         yield
     finally:
         if threads > 1:
-            blas[1](threads)
+            _blas[1](threads)
 
 
 def lane_count(most: int, lane_floats: int) -> int:
@@ -101,7 +97,6 @@ def run_lanes(
     wait on itself once the pool is busy.  Every lane runs numpy's BLAS at
     one thread (one_blas_thread), whatever thread count the caller set.
     """
-    global _helpers
     failed = threading.Event()
     taken = 0
     take = threading.Lock()
@@ -126,10 +121,6 @@ def run_lanes(
             failed.set()
             raise
 
-    if lanes > 1:
-        with _helpers_lock:
-            if _helpers is None:
-                _helpers = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="polyradii-lane")
     with one_blas_thread():
         helpers = [_helpers.submit(run, lane) for lane in range(1, lanes)]
         try:

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import poch
 from scipy.stats import kstest, norm
 
 from conftest import chi_max_mc
@@ -50,6 +51,21 @@ def test_expected_max_chi_against_direct_quadrature():
     for k, N in [(2, 7), (5, 100)]:
         direct, _ = quad(lambda t: 1 - chi_cdf(k, t) ** N, 0, 60, limit=300)
         assert expected_max_chi(k, N) == pytest.approx(direct, abs=1e-7)
+
+
+def test_expected_max_chi_closed_form_at_large_k():
+    # at k = 10^7 the drop of 1 - F near sqrt(k) is O(1) wide: one quadrature
+    # from 0 missed it and returned sqrt(k).  E chi_k has the closed form
+    # sqrt(2) Gamma((k+1)/2) / Gamma(k/2), taken through poch, which keeps its
+    # digits where a difference of gammaln values loses them
+    k = 10**7
+    assert expected_max_chi(k, 1) == pytest.approx(math.sqrt(2) * poch(k / 2, 0.5), abs=1e-7)
+
+
+def test_expected_max_chi_grows_with_N_at_large_k():
+    # the same miss returned sqrt(k) for every N
+    vals = [expected_max_chi(10**7, N) for N in (1, 10, 1000)]
+    assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_expected_max_chi_brute_force_mc(key):

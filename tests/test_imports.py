@@ -7,10 +7,10 @@ module; what only the tests read lives in ``tests/``.  Only ``parallel``
 starts threads or counts CPUs, so the lane policy stays in one module, and
 only ``radii`` and ``gaussian`` run lanes, so every laned projection goes
 through one function.  Every product and QR runs inside one_blas_thread, held
-by its own function or by the lane runner.  Only
-the chi quadrature behind ``gaussian`` loads scipy.integrate: it pulls in some
-290 modules that every other command would pay for in start-up time and
-memory.
+by its own function or by the lane runner.  No function declares a global:
+module state is made at import.  Only the chi quadrature behind ``gaussian``
+loads scipy.integrate: it pulls in some 290 modules that every other command
+would pay for in start-up time and memory.
 """
 
 import ast
@@ -186,6 +186,15 @@ def test_every_product_runs_on_one_blas_thread():
                 loose.append(f"{path.name}:{op.lineno}")
     assert sites == {"bodies.py", "grassmann.py", "moments.py", "radii.py"}
     assert loose == []
+
+
+def test_no_function_rebinds_module_state():
+    # module state is made once, at import: no function of the package
+    # declares a global to make or replace it later
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert found == []
 
 
 def _probe(tmp_path: Path, commands: list[list[str]]) -> list:

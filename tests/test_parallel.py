@@ -9,11 +9,16 @@ a lost or misplaced write shows.
 import contextlib
 import importlib
 import inspect
+import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +262,38 @@ def test_run_lanes_covers_every_index_once():
         assert all(len(idents) == 1 for idents in threads.values())
         assert len(set.union(*threads.values())) == len(threads)
     assert sorted(blocks, reverse=True)[:8] == [10, 10, 10, 10, 10, 9, 7, 6]
+
+
+# Runs in a fresh interpreter: prints the live thread count after importing
+# the CLI, after a one-lane and after a two-lane run_lanes, and the names of
+# the threads other than the main one
+_THREAD_PROBE = textwrap.dedent(
+    """
+    import json, threading
+    import polyradii.cli
+    from polyradii import parallel
+
+    def block(lane, start, stop):
+        yield
+
+    counts = [threading.active_count()]
+    for lanes in (1, 2):
+        parallel.run_lanes(block, 4, lanes, 4)
+        counts.append(threading.active_count())
+    names = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+    print(json.dumps([counts, names]))
+    """
+)
+
+
+def test_helper_pool_starts_a_thread_only_for_work():
+    # the pool is made when parallel is imported: that starts no thread, a
+    # one-lane run submits nothing, and a two-lane run starts one helper
+    env = {**os.environ, "PYTHONPATH": str(Path(parallel.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[1, 1, 2], ["polyradii-lane_0"]]
 
 
 def test_run_lanes_stops_every_lane_on_error(monkeypatch):
