@@ -19,7 +19,7 @@ from scipy.special import gammaincc, gammainccinv, gammaln
 from .estimates import Estimate, mean_and_stderr
 from .grassmann import haar_frames
 from .parallel import lane_count, run_lanes
-from .radii import _BLOCK, projected_sq_norms
+from .radii import _BLOCK, _max_sq_norms
 from .streams import StreamKey, standard_normal
 
 _ABS_TOL = 1e-9  # absolute error target of expected_max_chi
@@ -34,8 +34,10 @@ def expected_max_chi(k: int, N: int) -> float:
     _ABS_TOL / (4 hi), above the upper one N (1 - F) is under _ABS_TOL / 4.
     The value is the lower quantile plus the integral of 1 - F^N between
     them, with F^N evaluated as exp(N log1p(-sf)) so huge N stays stable.
-    The error is within _ABS_TOL for k up to 10^7; above that gammaincc's own
-    accuracy bounds it, at about 1.2e-7 for k = 10^8 and 4e-7 for k = 10^9.
+    The error is within _ABS_TOL for k up to 10^7 and N up to 10^303.  Above
+    that k gammaincc's accuracy bounds it (about 1.2e-7 at k = 10^8, 4e-7 at
+    10^9); above that N its survival values are subnormal (at k = 1, -2.0e-9
+    at N = 10^304 and -2.1e-8 at 10^305).
     """
     # imported here, not at module level: it loads ~290 modules only this oracle needs
     from scipy.integrate import quad
@@ -124,27 +126,28 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
     Each replica draws a fresh cloud and a fresh Haar subspace, so the mean
     targets the full expectation over both sources of randomness, which by
     rotation invariance equals expected_max_chi(k, N).  Replica i's cloud comes
-    from key.child(i) and its frame from key.child(i).child(1), and it writes
-    only vals[i].  The replicas run in parallel.lane_count lanes, on one BLAS
-    thread, each holding one (N, n) cloud at a time, and in shrinking blocks
-    whose frames, drawn as one stack, hold at most radii._BLOCK floats over
-    all lanes (one replica per block when a frame needs more).  A frame has
-    the same bits at any block size and the mean reduces vals in index order,
-    so the result has the same bits at any lane count.
+    from key.child(i) and its frame from key.child(i).child(1); its lane
+    projects the cloud, reduces it with radii._max_sq_norms and writes only
+    vals[i].  The replicas run in parallel.lane_count lanes, each holding one
+    (N, n) cloud at a time, and draw their frames in stacks of at most
+    radii._BLOCK floats over all lanes (one frame when a frame needs more).
+    A frame has the same bits at any stack size and the mean reduces vals in
+    index order, so the result has the same bits at any lane count.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     vals = np.empty(replicas)
+    lanes = lane_count(replicas, N * n)
+    stack = max(1, _BLOCK // (lanes * n * k))
 
     def block(lane: int, start: int, stop: int):
-        keys = [key.child(i).child(1) for i in range(start, stop)]
-        for i, frame in enumerate(haar_frames(n, k, keys), start):
-            yield
-            pts = gaussian_cloud(n, N, key.child(i))
-            vals[i] = np.sqrt(np.max(projected_sq_norms(pts, frame, [k])))
+        for first in range(start, stop, stack):
+            keys = [key.child(i).child(1) for i in range(first, min(first + stack, stop))]
+            for i, frame in enumerate(haar_frames(n, k, keys), first):
+                yield
+                _max_sq_norms(gaussian_cloud(n, N, key.child(i)) @ frame, [k], vals[i : i + 1])
 
-    lanes = lane_count(replicas, N * n)
-    run_lanes(block, replicas, lanes, max(1, _BLOCK // (lanes * n * k)))
-    return mean_and_stderr(vals)
+    run_lanes(block, replicas, lanes)
+    return mean_and_stderr(np.sqrt(vals))

@@ -77,25 +77,23 @@ def lane_count(most: int, lane_floats: int) -> int:
     return min(most, _usable_cpus(), max(1, _LANE_FLOATS // lane_floats))
 
 
-def run_lanes(
-    block: Callable[[int, int, int], Iterator[None]], count: int, lanes: int, cap: int
-) -> None:
+def run_lanes(block: Callable[[int, int, int], Iterator[None]], count: int, lanes: int) -> None:
     """Run block(lane, start, stop) over blocks that together cover range(count).
 
     The calling thread runs lane 0 and helper threads lanes 1 to lanes - 1.
     A lane that comes free takes the next block not yet taken, 1 / (2 lanes)
-    of the indexes left, rounded up and at most ``cap``, so the blocks shrink
-    towards the end and a lane on a busy CPU takes fewer of them instead of
-    holding up the call.  ``block`` is a generator that yields before each
-    step of its work; once any lane has raised, the others stop at their next
-    step or block.  When every lane has stopped, the calling thread's error is
-    raised, else the first helper's in the order they were started.
+    of the indexes left, rounded up, so the blocks shrink towards the end and
+    a lane on a busy CPU takes fewer of them instead of holding up the call.
+    ``block`` is a generator that yields before each step of its work; once
+    any lane has raised, the others stop at their next step or block.  When
+    every lane has stopped, the calling thread's error is raised, else the
+    first helper's in the order they were started.
 
     ``lane`` indexes the caller's scratch for that lane: a large array that a
     helper frees stays resident in its thread's malloc arena.
-    A block must not call run_lanes: a helper that waited on helpers could
-    wait on itself once the pool is busy.  Every lane runs numpy's BLAS at
-    one thread (one_blas_thread), whatever thread count the caller set.
+    A block calls nothing that runs lanes: a helper that waited on helpers
+    could wait on itself once the pool is busy.  Every lane runs numpy's BLAS
+    at one thread (one_blas_thread), whatever thread count the caller set.
     """
     failed = threading.Event()
     taken = 0
@@ -105,7 +103,7 @@ def run_lanes(
         nonlocal taken
         with take:
             start = taken
-            taken += min(cap, -(-(count - taken) // (2 * lanes)))
+            taken += -(-(count - taken) // (2 * lanes))
             return start, taken
 
     def run(lane: int) -> None:

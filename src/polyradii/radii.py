@@ -12,7 +12,7 @@ import numpy as np
 
 from .estimates import Estimate
 from .grassmann import haar_frames
-from .parallel import lane_count, one_blas_thread, run_lanes
+from .parallel import lane_count, run_lanes
 from .streams import StreamKey
 
 _BLOCK = 1 << 16  # bound on a chunk's product and on a block of frames, in float64s
@@ -110,18 +110,12 @@ def _project_stack(
     every product runs on one BLAS thread; each lane projects into its own
     scratch, and a slice's row chunks can run in different lanes.  ``reduce``
     runs numpy only, may overwrite the product and writes only its own slots,
-    those of slices lo..hi in row chunk ``row``.  One unit, such as the one
-    frame a Gaussian helper lane projects, is one product on the calling
-    thread under one_blas_thread and never calls run_lanes: lanes never nest.
+    those of slices lo..hi in row chunk ``row``.
     """
     B, (N, n), w = len(stack), points.shape, stack.shape[-1]
     per_chunk, bounds = _chunk_rule(N, n, w, split_rows)
     row_chunks, rows = len(bounds) - 1, bounds[-1] - bounds[-2]
     units = -(-B // per_chunk) * row_chunks
-    if units == 1:
-        with one_blas_thread():
-            reduce(points @ stack, 0, B, 0)
-        return
     lanes = lane_count(units, per_chunk * rows * w)
     scratch = np.empty((lanes, min(per_chunk, B) * rows * w))
 
@@ -134,7 +128,7 @@ def _project_stack(
             product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
             reduce(np.matmul(points[r0:r1], stack[lo:hi], out=product), lo, hi, row)
 
-    run_lanes(block, units, lanes, units)
+    run_lanes(block, units, lanes)
 
 
 def _sum_segments(sq: np.ndarray, ks, out: np.ndarray) -> None:
@@ -157,6 +151,14 @@ def _sum_segments(sq: np.ndarray, ks, out: np.ndarray) -> None:
                 np.add(sq[..., lo], rest, out=out[..., j])
     for j in range(1, len(ks)):
         out[..., j] += out[..., j - 1]
+
+
+def _max_sq_norms(sq: np.ndarray, ks, out: np.ndarray) -> None:
+    """The max kernel's reduction: _sum_segments of sq, then its max over the
+    points (axis -2) written to out; numpy only."""
+    sums = np.empty(sq.shape[:-1] + (len(ks),))
+    _sum_segments(sq, ks, sums)
+    np.max(sums, axis=-2, out=out)
 
 
 def radius_profile(
@@ -213,11 +215,7 @@ def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> n
         keys = [key.child(i) for i in range(start, min(start + block, M))]
         maxima = np.empty((row_chunks, len(keys), ks.size))  # per row chunk, over its points
 
-        def row_max(sq, lo, hi, row):
-            sums = np.empty(sq.shape[:-1] + (ks.size,))
-            _sum_segments(sq, ks, sums)
-            np.max(sums, axis=-2, out=maxima[row, lo:hi])
-
-        _project_stack(points, haar_frames(n, kmax, keys), row_max, True)
+        _project_stack(points, haar_frames(n, kmax, keys),
+                       lambda sq, lo, hi, row: _max_sq_norms(sq, ks, maxima[row, lo:hi]), True)
         np.max(maxima, axis=0, out=peaks[start : start + len(keys)])
     return np.sqrt(peaks)

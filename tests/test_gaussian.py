@@ -68,6 +68,14 @@ def test_expected_max_chi_grows_with_N_at_large_k():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def test_expected_max_chi_at_the_largest_documented_N():
+    # the 1e-9 bound holds up to N = 10^303; above it gammaincc's survival
+    # values are subnormal.  Reference: mpmath at 50 digits, mp.quad of
+    # -expm1(N log1p(-erfc(t / sqrt 2))) over [0, c-4, c-1, c, c+1, c+4, inf]
+    # with c = sqrt(2 log N), the integrand 1 - F(t)^N of chi_1
+    assert expected_max_chi(1, 10**303) == pytest.approx(37.267017314525393395, abs=1e-9)
+
+
 def test_expected_max_chi_brute_force_mc(key):
     mc, se = chi_max_mc(1, 2, 10**7, key.child(0))
     assert abs(mc - expected_max_chi(1, 2)) <= 3 * se
@@ -159,10 +167,11 @@ def test_mean_outer_radius_matches_oracle_for_single_cloud(key):
 
 
 def test_blocked_projected_max_mc_equals_per_replica_loop(key, monkeypatch):
-    # _BLOCK holds 32 frames of 64 x 32, split across lanes: blocks of at most
-    # 32, 16 and 10 at 1, 2 and 3 lanes.  The lanes take 1 / (2 lanes) of the
-    # replicas left in turn: 70 replicas as 7 blocks at 1 lane (32, 19, 10, 5,
-    # 2, 1, 1), 13 at 2 lanes (16, 14, 10, ..., 1) and 18 at 3.  One 260 x 260
+    # _BLOCK holds 32 frames of 64 x 32, split across lanes: frame stacks of
+    # at most 32, 16 and 10 at 1, 2 and 3 lanes.  The lanes take 1 / (2 lanes)
+    # of the replicas left in turn: 70 replicas as 7 blocks at 1 lane (35, 18,
+    # 9, 4, 2, 1, 1), 13 at 2 lanes (18, 13, 10, ..., 1) and 18 at 3 (12, 10,
+    # ..., 1), so each first block draws its frames in two stacks.  One 260 x 260
     # frame exceeds _BLOCK on its own, and 2 replicas at 3 usable CPUs run in
     # 2 lanes.  A short switch interval makes the lanes' threads interleave
     # often, so a lost or misplaced write shows.
@@ -222,6 +231,33 @@ def test_lanes_keep_the_clouds_within_budget(key, monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+def test_frame_stacks_stay_within_block(key, monkeypatch):
+    # a lane draws its block's frames in stacks of at most _BLOCK // (lanes n k)
+    # keys, so all lanes' frames together stay within _BLOCK floats: 32, 16
+    # and 10 keys of 64 x 32 frames at 1, 2 and 3 lanes, where the first
+    # block of 128 replicas holds 64, 32 and 22; the result is the same
+    real_frames = gaussian.haar_frames
+    stacks = []
+
+    def haar_frames(n, k, keys):
+        stacks.append(len(keys))
+        return real_frames(n, k, keys)
+
+    monkeypatch.setattr(gaussian, "haar_frames", haar_frames)
+    # a pool of its own with a helper for each lane after the first, whatever
+    # os.cpu_count() says on this host
+    with ThreadPoolExecutor(2) as helpers:
+        monkeypatch.setattr(parallel, "_helpers", helpers)
+        results = []
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
+            stacks.clear()
+            results.append(projected_max_mc(64, 32, 1000, 128, key))
+            bound = max(1, _BLOCK // (lanes * 64 * 32))
+            assert sum(stacks) == 128 and max(stacks) == bound == {1: 32, 2: 16, 3: 10}[lanes]
+    assert results[0] == results[1] == results[2]
+
+
 def test_projected_max_mc_stops_every_lane_on_error(key, monkeypatch):
     # 2 lanes take the blocks 0-1, 2-3, 4, 5, 6 and 7 as they come free: the
     # first replica a helper runs fails, and then the first one the calling
@@ -258,17 +294,16 @@ def test_projected_max_mc_stops_every_lane_on_error(key, monkeypatch):
 
 
 def test_replicas_over_block_project_their_frames_without_nesting_lanes(monkeypatch, capsys):
-    # each replica's 10^4 x 32 product exceeds _BLOCK, but a replica projects
-    # a stack of one frame, so its lane projects it whole without calling
-    # run_lanes; the table's bytes were recorded before flags over _BLOCK were
-    # projected in row chunks
+    # each replica's 10^4 x 32 product exceeds _BLOCK, but a replica's lane
+    # projects its cloud whole itself, without calling run_lanes; the table's
+    # bytes were recorded before flags over _BLOCK were projected in row chunks
     assert 10_000 * 32 > _BLOCK
     nested, runs = [], []
     real_run_lanes = gaussian.run_lanes
 
-    def run_lanes(block, count, lanes, cap):
+    def run_lanes(block, count, lanes):
         runs.append(lanes)
-        real_run_lanes(block, count, lanes, cap)
+        real_run_lanes(block, count, lanes)
 
     monkeypatch.setattr(radii, "run_lanes", lambda *args: nested.append(args))
     monkeypatch.setattr(gaussian, "run_lanes", run_lanes)

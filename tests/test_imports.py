@@ -6,11 +6,12 @@ import.  Every public name a package module defines is read by some package
 module; what only the tests read lives in ``tests/``.  Only ``parallel``
 starts threads or counts CPUs, so the lane policy stays in one module, and
 only ``radii`` and ``gaussian`` run lanes, so every laned projection goes
-through one function.  Every product and QR runs inside one_blas_thread, held
-by its own function or by the lane runner.  No function declares a global:
-module state is made at import.  Only the chi quadrature behind ``gaussian``
-loads scipy.integrate: it pulls in some 290 modules that every other command
-would pay for in start-up time and memory.
+through one function, and no lane calls a function that runs lanes.  Every
+product and QR runs inside one_blas_thread, held by its own function or by
+the lane runner.  No function declares a global: module state is made at
+import.  Only the chi quadrature behind ``gaussian`` loads scipy.integrate:
+it pulls in some 290 modules that every other command would pay for in
+start-up time and memory.
 """
 
 import ast
@@ -115,10 +116,9 @@ def test_only_parallel_decides_lanes():
 def test_only_radii_and_gaussian_run_lanes():
     # the stacked projection in radii and the Gaussian replicas are the two
     # lane loops: no other module calls run_lanes or asks for lanes, and
-    # grassmann, bodies, moments and radii's one-unit product take the
-    # one-BLAS-thread scope from parallel; run_lanes runs lane 0 and submits
-    # the helper lanes only inside that scope, so every lane of any loop runs
-    # one BLAS thread
+    # grassmann, bodies and moments take the one-BLAS-thread scope from
+    # parallel; run_lanes runs lane 0 and submits the helper lanes only inside
+    # that scope, so every lane of any loop runs one BLAS thread
     imported, calls = {}, []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -126,7 +126,7 @@ def test_only_radii_and_gaussian_run_lanes():
                 imported.setdefault(path.name, set()).update(alias.name for alias in node.names)
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_lanes":
                 calls.append(path.name)
-    assert imported == {"radii.py": {"lane_count", "one_blas_thread", "run_lanes"},
+    assert imported == {"radii.py": {"lane_count", "run_lanes"},
                         "gaussian.py": {"lane_count", "run_lanes"},
                         "grassmann.py": {"one_blas_thread"},
                         "bodies.py": {"one_blas_thread"},
@@ -184,8 +184,41 @@ def test_every_product_runs_on_one_blas_thread():
                     continue
             if not _holds_one_blas_thread(node):
                 loose.append(f"{path.name}:{op.lineno}")
-    assert sites == {"bodies.py", "grassmann.py", "moments.py", "radii.py"}
+    assert sites == {"bodies.py", "gaussian.py", "grassmann.py", "moments.py", "radii.py"}
     assert loose == []
+
+
+def _called_name(call: ast.Call) -> str | None:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def test_lanes_never_nest():
+    # a lane that ran lanes itself could wait on a helper that waits on it
+    # once the pool is busy.  The functions that run lanes are run_lanes and,
+    # by name, every package function that calls one of them; no generator
+    # passed to run_lanes may call any of them
+    functions = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                functions.setdefault(node.name, []).append(node)
+    calls = {name: {_called_name(call) for node in nodes for call in ast.walk(node)
+                    if isinstance(call, ast.Call)} for name, nodes in functions.items()}
+    laned = {"run_lanes"}
+    while grown := {name for name, called in calls.items() if called & laned} - laned:
+        laned |= grown
+    assert {"_project_stack", "projected_sq_norms", "radius_profile", "_flag_radii",
+            "projected_max_mc"} <= laned
+    loops = [(node, call.args[0].id) for nodes in functions.values() for node in nodes
+             for call in ast.walk(node) if isinstance(call, ast.Call)
+             and _called_name(call) == "run_lanes" and isinstance(call.args[0], ast.Name)]
+    assert len(loops) == 2
+    nested = sorted(f"{block.name}:{call.lineno} calls {_called_name(call)}"
+                    for outer, name in loops for block in ast.walk(outer)
+                    if isinstance(block, ast.FunctionDef) and block.name == name
+                    for call in ast.walk(block)
+                    if isinstance(call, ast.Call) and _called_name(call) in laned)
+    assert nested == []
 
 
 def test_no_function_rebinds_module_state():

@@ -203,7 +203,7 @@ def test_every_loop_keeps_its_lanes_within_the_scratch_budget(key, monkeypatch):
     calls = []
 
     def traced(module):
-        def run_lanes(block, count, lanes, cap):
+        def run_lanes(block, count, lanes):
             threads = set()
             calls.append((module, count, lanes, threads))
 
@@ -213,7 +213,7 @@ def test_every_loop_keeps_its_lanes_within_the_scratch_budget(key, monkeypatch):
                     time.sleep(0.02)
                     yield step
 
-            real_run_lanes(steps, count, lanes, cap)
+            real_run_lanes(steps, count, lanes)
 
         return run_lanes
 
@@ -236,11 +236,13 @@ def test_every_loop_keeps_its_lanes_within_the_scratch_budget(key, monkeypatch):
 
 
 def test_run_lanes_covers_every_index_once():
-    # blocks of 1 / (2 lanes) of what is left, at most cap: 100 indexes at 3
-    # lanes and cap 10 are 10, 10, 10, 10, 10, 9, 7, 6, ... in whichever lane.
-    # Each lane number stays on one thread, lane 0 on the calling one, so a
-    # lane's scratch is never shared
-    for lanes, cap in ((1, 100), (2, 7), (3, 10)):
+    # blocks of 1 / (2 lanes) of what is left, rounded up: 100 indexes at 3
+    # lanes are 17, 14, 12, 10, 8, 7, 6, 5, ... in whichever lane.  Each lane
+    # number stays on one thread, lane 0 on the calling one, so a lane's
+    # scratch is never shared
+    heads = {1: [50, 25, 13, 6, 3, 2, 1], 2: [25, 19, 14, 11, 8, 6, 5, 3],
+             3: [17, 14, 12, 10, 8, 7, 6, 5]}
+    for lanes, head in heads.items():
         hits = np.zeros(100, dtype=int)
         blocks = []
         threads = {}
@@ -254,14 +256,13 @@ def test_run_lanes_covers_every_index_once():
                 time.sleep(0.001)
 
         with _short_switch_interval():
-            parallel.run_lanes(block, 100, lanes, cap)
+            parallel.run_lanes(block, 100, lanes)
         assert np.all(hits == 1)
-        assert max(blocks) <= cap and sum(blocks) == 100
+        assert sorted(blocks, reverse=True)[:8] == head and sum(blocks) == 100
         assert set(threads) <= set(range(lanes))
         assert threads[0] == {threading.get_ident()}
         assert all(len(idents) == 1 for idents in threads.values())
         assert len(set.union(*threads.values())) == len(threads)
-    assert sorted(blocks, reverse=True)[:8] == [10, 10, 10, 10, 10, 9, 7, 6]
 
 
 # Runs in a fresh interpreter: prints the live thread count after importing
@@ -278,7 +279,7 @@ _THREAD_PROBE = textwrap.dedent(
 
     counts = [threading.active_count()]
     for lanes in (1, 2):
-        parallel.run_lanes(block, 4, lanes, 4)
+        parallel.run_lanes(block, 4, lanes)
         counts.append(threading.active_count())
     names = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
     print(json.dumps([counts, names]))
@@ -322,7 +323,7 @@ def test_run_lanes_stops_every_lane_on_error(monkeypatch):
         with ThreadPoolExecutor(1) as helpers:
             monkeypatch.setattr(parallel, "_helpers", helpers)
             with pytest.raises(RuntimeError, match="index") as raised:
-                parallel.run_lanes(block, 8, 2, 8)
+                parallel.run_lanes(block, 8, 2)
             returned = list(calls)
             assert not running
             time.sleep(0.1)
@@ -335,8 +336,7 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
     # runs one thread, and so does the QR of radius_profile's frame draws on
     # the calling thread between its lane runs; it gets its old count back
     # after the loop, also when a helper lane raised.  run_lanes holds the
-    # thread itself, whoever calls it, and a one-unit projection, which never
-    # calls run_lanes, holds it too
+    # thread itself, whoever calls it, a one-unit projection included
     blas = parallel._openblas()
     if not blas:
         pytest.skip("numpy's BLAS exposes no thread count")
@@ -380,10 +380,10 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
         with ThreadPoolExecutor(1) as helpers:
             monkeypatch.setattr(parallel, "_helpers", helpers)
             with pytest.raises(RuntimeError, match="helper lane"):
-                parallel.run_lanes(block, 8, parallel.lane_count(8, 1), 8)
+                parallel.run_lanes(block, 8, parallel.lane_count(8, 1))
         assert seen and set(seen) == {1}
         assert get() == 2
-        # one 64 x 8 frame over 100 points is one unit, projected on the calling thread
+        # one 64 x 8 frame over 100 points is one unit, one lane on the calling thread
         pts = sample_points(make_body("cube", 64), 100, key.child(2))
         frame = haar_frames(64, 8, [key.child(3)])[0]
         seen.clear()
