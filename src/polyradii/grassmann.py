@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import gammaln, ndtri
 
 from .parallel import one_blas_thread
-from .streams import StreamKey, standard_normal, uniform
+from .streams import StreamKey, standard_normal, uniform_stack
 
 
 def haar_frames(n: int, k: int, keys: Sequence[StreamKey]) -> np.ndarray:
@@ -17,16 +17,15 @@ def haar_frames(n: int, k: int, keys: Sequence[StreamKey]) -> np.ndarray:
 
     Sign-fixed QR, diag(R) > 0: deterministic and Haar-correct.  With k = n
     each frame is a nested flag: every prefix of k columns is Haar on G_{n,k}.
-    Each key makes its own uniform draw; one inverse-normal transform and one
-    batched QR then cover the whole stack, so frame i has the same bits
-    whatever the other keys are.  The QR runs on one BLAS thread, so the bits
-    do not depend on the BLAS thread count either.
+    One streams.uniform_stack draw, one inverse-normal transform and one
+    batched QR cover the whole stack; row i of the draw has the bits of
+    uniform(keys[i], n * k), so frame i has the same bits whatever the other
+    keys are.  The QR runs on one BLAS thread, so the bits do not depend on
+    the BLAS thread count either.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    g = np.empty((len(keys), n * k))
-    for row, key in zip(g, keys):
-        row[:] = uniform(key, n * k)
+    g = uniform_stack(keys, n * k)
     ndtri(g, out=g)  # streams.standard_normal, applied to the whole stack
     with one_blas_thread():
         q, r = np.linalg.qr(g.reshape(len(keys), n, k))

@@ -4,12 +4,14 @@ No package module imports a name it never uses, ``__init__.py`` included:
 the top level exports nothing, so a re-export added there fails as an unused
 import.  Every public name a package module defines is read by some package
 module; what only the tests read lives in ``tests/``.  Only ``parallel``
-starts threads or counts CPUs, so the lane policy stays in one module, and
-only ``radii`` and ``gaussian`` run lanes, so every laned projection goes
-through one function, and no lane calls a function that runs lanes.  Every
-product and QR runs inside one_blas_thread, held by its own function or by
-the lane runner.  No function declares a global: module state is made at
-import.  Only the chi quadrature behind ``gaussian`` loads scipy.integrate:
+starts threads or counts CPUs, so the lane policy stays in one module.  Only
+``streams`` names numpy's seeding and bit generators, so every draw goes
+through its key derivation.  Only ``radii`` and ``gaussian`` run lanes, so
+every laned projection goes through one function, and no lane calls a
+function that runs lanes.  Every product and QR runs inside one_blas_thread,
+held by its own function or by the lane runner.  No function declares a
+global: module state is made at import.  Only the chi quadrature behind
+``gaussian`` loads scipy.integrate:
 it pulls in some 290 modules that every other command would pay for in
 start-up time and memory.
 """
@@ -219,6 +221,26 @@ def test_lanes_never_nest():
                     for call in ast.walk(block)
                     if isinstance(call, ast.Call) and _called_name(call) in laned)
     assert nested == []
+
+
+def test_only_streams_makes_generators():
+    # every draw goes through the key derivation in streams: no other module
+    # names numpy's seeding, bit generators or raw-word draws
+    names = {"SeedSequence", "Philox", "Generator", "default_rng", "random_raw"}
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named = {node.id}
+            elif isinstance(node, ast.Attribute):
+                named = {node.attr}
+            elif isinstance(node, ast.Import | ast.ImportFrom):
+                named = {part for alias in node.names for part in alias.name.split(".")}
+            else:
+                continue
+            if named & names:
+                found.setdefault(path.name, set()).update(named & names)
+    assert list(found) == ["streams.py"]
 
 
 def test_no_function_rebinds_module_state():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -10,7 +12,15 @@ from polyradii.streams import (
     standard_exponential,
     standard_normal,
     uniform,
+    uniform_stack,
 )
+
+# roots and path entries at the edges of SeedSequence's 32-bit word coercion
+_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+def _reference_philox(key: StreamKey) -> np.random.Philox:
+    return np.random.Philox(np.random.SeedSequence(key.root, spawn_key=key.path))
 
 
 def test_derive_appends_index():
@@ -23,6 +33,9 @@ def test_derivation_is_pure():
     parent = StreamKey(42, (5,))
     assert parent.child(0) == parent.child(0)
     assert parent == StreamKey(42, (5,))
+    # the carried pool takes no part in equality, hashing or the repr
+    assert hash(parent.child(0)) == hash(StreamKey(42, (5, 0)))
+    assert repr(parent.child(0)) == "StreamKey(root=42, path=(5, 0))"
 
 
 def test_same_key_reproduces_stream_bitwise():
@@ -45,6 +58,59 @@ def test_key_validation():
         StreamKey(-1)
     with pytest.raises(ValueError):
         StreamKey(0, (2**64,))
+
+
+def test_key_rejects_non_integral_entries():
+    # entries are taken with operator.index: a float is neither truncated
+    # into another key nor left to fail at draw time
+    with pytest.raises(ValueError):
+        StreamKey(7, (1.5,))
+    with pytest.raises(ValueError):
+        StreamKey(7.0)
+    with pytest.raises(ValueError):
+        StreamKey(7, ("1",))
+    with pytest.raises(ValueError):
+        StreamKey(7).child(2.9)
+    with pytest.raises(ValueError):
+        StreamKey(7).child(-1)
+    key = StreamKey(np.uint64(2**64 - 1), (np.int64(3),))
+    assert key == StreamKey(2**64 - 1, (3,)) and type(key.root) is int
+
+
+def test_derived_keys_match_seedsequence():
+    # the Philox key of StreamKey(root, path), built by child() chains and
+    # directly, is numpy's SeedSequence(root, spawn_key=path).generate_state(2, uint64)
+    rng = random.Random(20260809)
+
+    def entry():
+        return rng.choice(_EDGES + (rng.randrange(2**32), rng.randrange(2**64)))
+
+    for length in (0, 1, 3, 4, 6):
+        for _ in range(500):
+            root, path = entry(), tuple(entry() for _ in range(length))
+            chained = StreamKey(root)
+            for index in path:
+                chained = chained.child(index)
+            direct = StreamKey(root, path)
+            assert chained == direct and hash(chained) == hash(direct)
+            want = np.random.SeedSequence(root, spawn_key=path).generate_state(2, np.uint64)
+            for key in (chained, direct):
+                got = generator(key).bit_generator.state["state"]["key"]
+                assert np.array_equal(got, want), (root, path)
+
+
+def test_uniform_stack_equals_per_key_reference_words():
+    # one Philox reset per key gives each row the words of a fresh
+    # SeedSequence-built Philox; counts around 4 straddle its 4-word blocks
+    keys = [StreamKey(root, path) for root in _EDGES
+            for path in ((), (2**64 - 1,), (0, 2**32), (3, 1, 4, 1, 5, 9))]
+    for count in (0, 1, 3, 4, 5, 257):
+        want = np.stack([_words_to_unit(_reference_philox(key).random_raw(count) >> 11)
+                         for key in keys])
+        assert np.array_equal(uniform_stack(keys, count), want)
+        assert uniform_stack([], count).shape == (0, count)
+    with pytest.raises(ValueError):
+        uniform_stack(keys, -1)
 
 
 def test_uniform_open_interval():
@@ -78,7 +144,8 @@ def test_uniform_equals_integers_reference():
     ]
     for key in keys:
         for count in (0, 1, 3, 4, 5, 1001):
-            words = generator(key).integers(0, 2**53, size=count, dtype=np.uint64)
+            reference = np.random.Generator(_reference_philox(key))
+            words = reference.integers(0, 2**53, size=count, dtype=np.uint64)
             assert np.array_equal(uniform(key, count), _words_to_unit(words))
 
 
