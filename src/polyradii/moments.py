@@ -199,9 +199,14 @@ def centroid_width_check(
     def mean_powers(proj: np.ndarray, lo: int, hi: int, row: int) -> None:
         np.abs(proj, out=proj)
         proj **= q
-        np.mean(proj, axis=-2, out=hq.reshape(-1, _DIRECTION_CHUNK)[lo:hi])
+        # np.mean's bits: its row-by-row sum, then one division by m; einsum
+        # adds the rows in the same order, at about a third of the time
+        mean = hq.reshape(-1, _DIRECTION_CHUNK)[lo:hi]
+        np.einsum("...ij->...j", proj, out=mean)
+        mean /= m
 
-    _project_stack(pts, dirs.reshape(-1, n, _DIRECTION_CHUNK), mean_powers)
+    slices = dirs.reshape(-1, n, _DIRECTION_CHUNK)
+    _project_stack(pts, lambda lo, hi: slices[lo:hi], len(slices), _DIRECTION_CHUNK, mean_powers)
     rhs = np.sqrt(k / q) * np.array([np.mean(1.0 / row) ** (-1.0 / q) for row in hq])
     avg_neg = float(np.mean(lhs ** (-q)) ** (-1.0 / q))
     grassmann_neg_ratio = avg_neg / (np.sqrt(k / n) * iq_neg)

@@ -78,7 +78,8 @@ def projected_sq_norms(points: np.ndarray, frames: np.ndarray, ks) -> np.ndarray
     N, kmax = points.shape[0], ks[-1]
     stack = frames[..., :kmax].reshape(-1, frames.shape[-2], kmax)
     out = np.empty((len(stack), N, len(ks)))
-    _project_stack(points, stack, lambda sq, lo, hi, row: _sum_segments(sq, ks, out[lo:hi]))
+    _project_stack(points, lambda lo, hi: stack[lo:hi], len(stack), kmax,
+                   lambda sq, lo, hi, row: _sum_segments(sq, ks, out[lo:hi]))
     return out.reshape(frames.shape[:-2] + out.shape[1:])
 
 
@@ -100,35 +101,40 @@ def _chunk_rule(N: int, n: int, w: int, split_rows: bool) -> tuple[int, list[int
 
 
 def _project_stack(
-    points: np.ndarray, stack: np.ndarray, reduce, split_rows: bool = False
+    points: np.ndarray, frames, count: int, w: int, reduce, split_rows: bool = False
 ) -> None:
-    """Call reduce(points[r0:r1] @ stack[lo:hi], lo, hi, row) over units covering
-    the (B, n, w) stack: row chunk ``row`` (0 when rows are not cut) of each
-    chunk of slices lo..hi, by _chunk_rule.
+    """Call reduce(points[r0:r1] @ frames(lo, hi), lo, hi, row) over a stack of
+    ``count`` (n, w) slices, frames(lo, hi) being its slices lo..hi: row chunk
+    ``row`` (0 when rows are not cut) of each chunk of slices lo..hi.
 
-    Blocks of units run in parallel.lane_count's lanes through run_lanes, so
-    every product runs on one BLAS thread; each lane projects into its own
-    scratch, and a slice's row chunks can run in different lanes.  ``reduce``
-    runs numpy only, may overwrite the product and writes only its own slots,
-    those of slices lo..hi in row chunk ``row``.
+    A chunk holds the slices per chunk of _chunk_rule, but no more than keep
+    the lanes' frames within _BLOCK floats together (one slice when a single
+    one needs more); the lanes are counted from _chunk_rule's chunks first.
+    Chunks run in parallel.lane_count's lanes through run_lanes, so every
+    product runs on one BLAS thread.  A lane calls frames once per chunk it
+    takes and runs the chunk's row chunks in order, projecting into its own
+    scratch.  Neither ``frames`` nor ``reduce`` runs lanes; reduce may
+    overwrite the product and writes only its own slots, those of slices
+    lo..hi in row chunk ``row``.
     """
-    B, (N, n), w = len(stack), points.shape, stack.shape[-1]
+    N, n = points.shape
     per_chunk, bounds = _chunk_rule(N, n, w, split_rows)
-    row_chunks, rows = len(bounds) - 1, bounds[-1] - bounds[-2]
-    units = -(-B // per_chunk) * row_chunks
-    lanes = lane_count(units, per_chunk * rows * w)
-    scratch = np.empty((lanes, min(per_chunk, B) * rows * w))
+    rows = bounds[-1] - bounds[-2]
+    lanes = lane_count(-(-count // per_chunk), per_chunk * rows * w)
+    per_chunk = min(per_chunk, max(1, _BLOCK // (lanes * n * w)))
+    scratch = np.empty((lanes, min(per_chunk, count) * rows * w))
 
     def block(lane: int, start: int, stop: int):
-        for unit in range(start, stop):
+        for chunk in range(start, stop):
             yield
-            chunk, row = divmod(unit, row_chunks)
-            lo, (r0, r1) = chunk * per_chunk, bounds[row : row + 2]
-            hi = min(lo + per_chunk, B)
-            product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
-            reduce(np.matmul(points[r0:r1], stack[lo:hi], out=product), lo, hi, row)
+            lo = chunk * per_chunk
+            hi = min(lo + per_chunk, count)
+            stack = frames(lo, hi)
+            for row, (r0, r1) in enumerate(zip(bounds[:-1], bounds[1:])):
+                product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
+                reduce(np.matmul(points[r0:r1], stack, out=product), lo, hi, row)
 
-    run_lanes(block, units, lanes)
+    run_lanes(block, -(-count // per_chunk), lanes)
 
 
 def _sum_segments(sq: np.ndarray, ks, out: np.ndarray) -> None:
@@ -156,9 +162,10 @@ def _sum_segments(sq: np.ndarray, ks, out: np.ndarray) -> None:
 def _max_sq_norms(sq: np.ndarray, ks, out: np.ndarray) -> None:
     """The max kernel's reduction: _sum_segments of sq, then its max over the
     points (axis -2) written to out; numpy only."""
-    sums = np.empty(sq.shape[:-1] + (len(ks),))
-    _sum_segments(sq, ks, sums)
-    np.max(sums, axis=-2, out=out)
+    # segment-major, so the max runs over contiguous rows
+    sums = np.empty(sq.shape[:-2] + (len(ks), sq.shape[-2]))
+    _sum_segments(sq, ks, sums.swapaxes(-1, -2))
+    np.max(sums, axis=-1, out=out)
 
 
 def radius_profile(
@@ -169,7 +176,8 @@ def radius_profile(
     Flag i is the haar_frames frame drawn from key.child(i), as wide as the
     largest requested k; its first k columns are a Haar k-frame, so each
     per-k column averages max_j |P_F X_j| over M Haar subspaces F, as
-    _flag_radii computes it.  The per-point radii never decrease with k, and
+    _flag_radii computes it in lanes that each draw the flags they project.
+    The per-point radii never decrease with k, and
     neither does their max or the flag average.  ``ks`` restricts the grid
     (default: every k = 1..n).
     """
@@ -195,27 +203,22 @@ def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> n
     """(M, len(ks)) radii max_j |P_F X_j| of flag i = key.child(i), the max kernel.
 
     Row i has the bits of np.sqrt(np.max(projected_sq_norms(points, frame_i,
-    ks), axis=0)) at any block size, lane count and BLAS thread count.  The
-    calling thread draws the flags in blocks and projects each block through
-    _project_stack.  A block's frames hold at most _BLOCK floats, and so do its
-    products unless its flags are cut into rows: a flag whose N x max(k)
-    product needs more than _BLOCK floats is projected in row chunks, which
-    the lanes share out.  Each row chunk sums its segments into its own array
-    and writes its max per flag and k once, whichever lane runs it, and the
-    row chunks' maxima are merged after the block's lanes stop; the max is
+    ks), axis=0)) at any chunk size, lane count and BLAS thread count.  The
+    flags are one _project_stack stack, whose lanes draw each chunk's flags
+    with haar_frames before they project it.  A flag whose N x max(k)
+    product needs more than _BLOCK floats is a chunk of its own, projected
+    in row chunks by the lane that drew it.  Each row chunk sums its
+    segments into its own array and writes its max per flag and k once, and
+    the row chunks' maxima are merged after the lanes stop; the max is
     exact, so the merge keeps the bits.
     """
     (N, n), kmax = points.shape, int(ks[-1])
     row_chunks = len(_chunk_rule(N, n, kmax, True)[1]) - 1
-    # floats a flag adds to a block: its frame, and its product unless that is cut into rows
-    flag_floats = (n if N * kmax > _BLOCK else max(N, n)) * kmax
-    block = max(1, min(M, _BLOCK // flag_floats))
-    peaks = np.empty((M, ks.size))
-    for start in range(0, M, block):
-        keys = [key.child(i) for i in range(start, min(start + block, M))]
-        maxima = np.empty((row_chunks, len(keys), ks.size))  # per row chunk, over its points
+    maxima = np.empty((row_chunks, M, ks.size))  # per row chunk, over its points
 
-        _project_stack(points, haar_frames(n, kmax, keys),
-                       lambda sq, lo, hi, row: _max_sq_norms(sq, ks, maxima[row, lo:hi]), True)
-        np.max(maxima, axis=0, out=peaks[start : start + len(keys)])
-    return np.sqrt(peaks)
+    def flags(lo: int, hi: int) -> np.ndarray:
+        return haar_frames(n, kmax, [key.child(i) for i in range(lo, hi)])
+
+    _project_stack(points, flags, M, kmax,
+                   lambda sq, lo, hi, row: _max_sq_norms(sq, ks, maxima[row, lo:hi]), True)
+    return np.sqrt(np.max(maxima, axis=0))

@@ -78,11 +78,11 @@ def test_stacked_sq_norms_in_lanes_equal_the_per_slice_calls(key, monkeypatch):
 
 
 def test_flag_radii_in_lanes_equal_the_per_flag_loop(key, monkeypatch):
-    # 12 flags of 1000 x 16 are projected as blocks of 4, one chunk each on
-    # the calling thread; a 10^4 x 16 flag exceeds _BLOCK and is projected in
-    # 2 row chunks (4128 and 5872 rows), 12 flags in one block of 24 row
-    # chunks, in lanes that each keep their own running maxima.  ks [3, 16] sums a
-    # 13-column segment with reduceat, [1, 4, 8, 16] by column adds
+    # 12 flags of 1000 x 16 are projected in 3 chunks of 4; a 10^4 x 16 flag
+    # exceeds _BLOCK and is a chunk of its own, projected in 2 row chunks
+    # (4128 and 5872 rows), so 12 flags make 12 chunks.  The lanes draw and
+    # project whole chunks, min(lanes, chunks) of them at once.  ks [3, 16]
+    # sums a 13-column segment with reduceat, [1, 4, 8, 16] by column adds
     real = radii._sum_segments
     threads = set()
 
@@ -104,7 +104,8 @@ def test_flag_radii_in_lanes_equal_the_per_flag_loop(key, monkeypatch):
                     monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
                     threads.clear()
                     assert np.array_equal(radii._flag_radii(pts, 12, key.child(7), ks), expected)
-                    assert len(threads) == (lanes if N == 10_000 else 1)
+                    chunks = 12 if N == 10_000 else 3
+                    assert len(threads) == min(lanes, chunks)
 
 
 def _grassmann_reference(body, k, q, M, m, key):
@@ -170,6 +171,18 @@ def test_subspace_moments_in_lanes_equal_the_per_subspace_loop(key, monkeypatch)
                         report = centroid_width_check(body, 8, q, 20, m, sub)
                         assert np.array_equal(report.ratios, ratios)
                         assert report.grassmann_neg_ratio == neg_ratio
+
+
+@pytest.mark.parametrize("m", [100, 101, 4999, 20000, 123457])
+def test_centroid_direction_means_have_the_bits_of_np_mean(key, m):
+    # the right side of the centroid check sums each slice's rows with einsum
+    # and divides once by m, which must give np.mean's bits exactly: a numpy
+    # that adds the rows in another order fails here
+    body = make_body("cube", 16)
+    ratios, neg_ratio = _centroid_reference(body, 8, 1, 2, m, key.child(m))
+    report = centroid_width_check(body, 8, 1, 2, m, key.child(m))
+    assert np.array_equal(report.ratios, ratios)
+    assert report.grassmann_neg_ratio == neg_ratio
 
 
 def test_every_loop_keeps_its_lanes_within_the_scratch_budget(key, monkeypatch):
@@ -333,8 +346,8 @@ def test_run_lanes_stops_every_lane_on_error(monkeypatch):
 
 def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
     # lanes own the cores: while a loop runs, in 1 lane or 2, numpy's OpenBLAS
-    # runs one thread, and so does the QR of radius_profile's frame draws on
-    # the calling thread between its lane runs; it gets its old count back
+    # runs one thread, and so does the QR of radius_profile's frame draws in
+    # its lanes; it gets its old count back
     # after the loop, also when a helper lane raised.  run_lanes holds the
     # thread itself, whoever calls it, a one-unit projection included
     blas = parallel._openblas()
@@ -362,7 +375,7 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", qr)
     monkeypatch.setattr(radii, "_sum_segments", sum_segments)
-    # blocks of 6 flags of 10^4 x 100 floats each, one flag per lane block
+    # flags of 10^4 x 100 floats each, one flag and one QR per chunk
     cloud = PointCloud(sample_points(make_body("cube", 100), 10_000, key.child(0)))
     assert len(radii._chunk_rule(10_000, 100, 100, True)[1]) == 17
     old = get()
@@ -373,7 +386,7 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
             seen.clear()
             radius_profile(cloud, 8, key.child(1), [1, 100])
-            assert len(seen) == 2 + 8 * 16 and set(seen) == {1}
+            assert len(seen) == 8 + 8 * 16 and set(seen) == {1}
             assert get() == 2
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         seen.clear()

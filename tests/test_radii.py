@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -235,8 +238,9 @@ def _reference_profile(cloud, M, key, ks):
 
 @pytest.mark.parametrize("block", [1 << 6, 1 << 8, 1 << 12, 1 << 16, 1 << 20])
 def test_blocked_profile_equals_the_reference_loop(key, monkeypatch, block):
-    # a block's frames fit in _BLOCK floats, and so do its products unless
-    # its flags are cut into row chunks
+    # a chunk's products fit in _BLOCK floats unless its flag is cut into row
+    # chunks, and so do the frames of one chunk per lane; the lanes draw
+    # their chunks in any order
     monkeypatch.setattr(radii, "_BLOCK", block)
     sizes = []
 
@@ -262,15 +266,98 @@ def test_blocked_profile_equals_the_reference_loop(key, monkeypatch, block):
                 assert np.array_equal(prof.values, values)
                 assert np.array_equal(prof.stderrs, stderrs)
                 N, kmax = cloud.points.shape[0], int(prof.ks[-1])
-                flag_floats = (n if N * kmax > block else max(N, n)) * kmax
-                B = max(1, min(M, block // flag_floats))
-                assert sizes == [B] * (M // B) + ([M % B] if M % B else [])
-                seen.update({"several" if B > 1 else "one flag per block",
+                per_chunk, bounds = radii._chunk_rule(N, n, kmax, True)
+                rows = N - bounds[-2]
+                lanes = parallel.lane_count(-(-M // per_chunk), per_chunk * rows * kmax)
+                B = min(M, per_chunk, max(1, block // (lanes * n * kmax)))
+                assert sorted(sizes) == sorted([B] * (M // B) + ([M % B] if M % B else []))
+                seen.update({"several" if B > 1 else "one flag per chunk",
                              "ragged" if M % B else "even"})
-    # a block holds a single flag at 2^6 floats (8 x 8 and 8 x 7 frames) and at
-    # 2^16 (the 9000 x 7 product, while 9000 x 8 ones are cut into rows)
-    single = {"one flag per block"} if block in (1 << 6, 1 << 16) else set()
+    # a chunk holds a single flag wherever the 9000-point flags are cut into
+    # rows, at every _BLOCK up to 2^16 floats (at 2^16 the 9000 x 8 products)
+    single = {"one flag per chunk"} if block <= 1 << 16 else set()
     assert seen == {"several", "ragged", "even"} | single
+
+
+@pytest.mark.parametrize("N", [256, 64])
+def test_lanes_draw_the_flags_they_project(key, monkeypatch, N):
+    # 64 flags at n = 64 are chunks of 4 flags at N = 256 (the products' bound)
+    # and of 2^16 // (lanes * 64 * 64) flags at N = 64 (the frames' bound over
+    # all lanes); each lane draws the flags of the chunks it takes, so every
+    # lane's thread draws frames, and the profile keeps the per-flag bits
+    n, M = 64, 64
+    cloud = PointCloud(sample_points(make_body("cube", n), N, key.child(48).child(N)))
+    draws = []
+    real_frames = radii.haar_frames
+
+    def recording_frames(n, k, keys):
+        draws.append((threading.get_ident(), len(keys)))
+        time.sleep(0.002)
+        return real_frames(n, k, keys)
+
+    monkeypatch.setattr(radii, "haar_frames", recording_frames)
+    values, stderrs = _reference_profile(cloud, M, key.child(49), np.arange(1, n + 1))
+    # a helper for each lane after the first, whatever os.cpu_count() says
+    with ThreadPoolExecutor(2) as helpers:
+        monkeypatch.setattr(parallel, "_helpers", helpers)
+        for lanes in (2, 3):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
+            draws.clear()
+            prof = radius_profile(cloud, M, key.child(49))
+            assert np.array_equal(prof.values, values) and np.array_equal(prof.stderrs, stderrs)
+            bound = max(1, radii._BLOCK // (lanes * n * n))
+            sizes = [size for _, size in draws]
+            assert len({ident for ident, _ in draws}) == lanes
+            assert max(sizes) <= bound and sum(sizes) == M
+            B = min(bound, radii._BLOCK // (N * n))
+            assert sorted(sizes, reverse=True) == [B] * (M // B) + ([M % B] if M % B else [])
+
+
+def test_a_failed_frame_draw_in_a_helper_lane_stops_the_profile(key, monkeypatch):
+    # a ValueError in a helper lane's frame draw is raised by radius_profile
+    # once every lane has stopped; numpy's BLAS gets its thread count back, and
+    # the next profile has the per-flag bits
+    cloud = PointCloud(sample_points(make_body("cube", 64), 256, key.child(50)))
+    real_frames = radii.haar_frames
+
+    def failing_frames(n, k, keys):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("helper draw")
+        time.sleep(0.005)
+        return real_frames(n, k, keys)
+
+    blas = parallel._openblas()
+    old = blas[0]() if blas else None
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    try:
+        if blas:
+            blas[1](2)
+        with monkeypatch.context() as patch:
+            patch.setattr(radii, "haar_frames", failing_frames)
+            with pytest.raises(ValueError, match="helper draw"):
+                radius_profile(cloud, 64, key.child(51))
+        if blas:
+            assert blas[0]() == 2
+        prof = radius_profile(cloud, 64, key.child(51), [1, 8, 64])
+    finally:
+        if blas:
+            blas[1](old)
+    values, stderrs = _reference_profile(cloud, 64, key.child(51), prof.ks)
+    assert np.array_equal(prof.values, values) and np.array_equal(prof.stderrs, stderrs)
+
+
+@pytest.mark.parametrize("shape, ks", [((1, 624, 100), [1, 10, 50, 100]),
+                                       ((4, 256, 64), list(range(1, 65)))])
+def test_max_kernel_sums_segment_major_with_the_same_bits(key, shape, ks):
+    # the max kernel sums into a (B, len(ks), rows) array, so its max runs over
+    # contiguous rows; its maxima equal those of point-major sums with zero
+    # tolerance, on an in-regime unit (reduceat) and a block of small flags
+    sq = standard_normal(key.child(52), math.prod(shape)).reshape(shape)
+    sums = np.empty(shape[:-1] + (len(ks),))
+    radii._sum_segments(sq.copy(), ks, sums)
+    got = np.empty((shape[0], len(ks)))
+    radii._max_sq_norms(sq.copy(), ks, got)
+    assert np.array_equal(got, np.max(sums, axis=-2))
 
 
 def test_row_chunks_just_above_the_small_gemm_cut_keep_the_bits(key, monkeypatch):
@@ -317,7 +404,7 @@ def test_row_chunks_keep_the_bits_of_the_whole_product(key, monkeypatch):
                 rows.append(row)
                 chunks[row] = product[0].copy()
 
-            radii._project_stack(pts, frame[None], keep, True)
+            radii._project_stack(pts, lambda lo, hi: frame[None], 1, w, keep, True)
             assert sorted(rows) == list(range(row_chunks))
             assert np.array_equal(np.concatenate([chunks[row] for row in range(row_chunks)]), whole)
 
