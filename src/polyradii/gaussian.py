@@ -127,10 +127,10 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
     targets the full expectation over both sources of randomness, which by
     rotation invariance equals expected_max_chi(k, N).  Replica i's cloud comes
     from key.child(i) and its frame from key.child(i).child(1); its lane
-    projects the cloud, reduces it with radii._max_sq_norms and writes only
-    vals[i].  The replicas run in parallel.lane_count lanes, each holding one
-    (N, n) cloud at a time, and draw their frames in stacks of at most
-    radii._BLOCK floats over all lanes (one frame when a frame needs more).
+    projects the cloud and raises vals[i] from zero to its max with
+    radii._max_sq_norms.  The replicas run in parallel.lane_count lanes, each
+    holding one (N, n) cloud at a time, and draw their frames in stacks of at
+    most radii._BLOCK floats over all lanes (one frame when a frame needs more).
     A frame has the same bits at any stack size and the mean reduces vals in
     index order, so the result has the same bits at any lane count.
     """
@@ -138,7 +138,7 @@ def projected_max_mc(n: int, k: int, N: int, replicas: int, key: StreamKey) -> E
         raise ValueError("need 1 <= k <= n")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    vals = np.empty(replicas)
+    vals = np.zeros(replicas)
     lanes = lane_count(replicas, N * n)
     stack = max(1, _BLOCK // (lanes * n * k))
 

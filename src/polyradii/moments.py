@@ -196,7 +196,7 @@ def centroid_width_check(
     dirs = dirs.reshape(M, n, -1, _DIRECTION_CHUNK).swapaxes(1, 2)
     hq = np.empty((M, _DIRECTIONS))
 
-    def mean_powers(proj: np.ndarray, lo: int, hi: int, row: int) -> None:
+    def mean_powers(proj: np.ndarray, lo: int, hi: int) -> None:
         np.abs(proj, out=proj)
         proj **= q
         # np.mean's bits: its row-by-row sum, then one division by m; einsum

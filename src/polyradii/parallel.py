@@ -73,8 +73,8 @@ def lane_count(most: int, lane_floats: int) -> int:
     """The lanes for a loop that can use at most ``most``, each holding
     ``lane_floats`` floats of scratch: one per usable CPU, but only as many as
     keep their scratch within _LANE_FLOATS together, and one when a single lane
-    needs more."""
-    return min(most, _usable_cpus(), max(1, _LANE_FLOATS // lane_floats))
+    needs more or the loop is empty."""
+    return max(1, min(most, _usable_cpus(), _LANE_FLOATS // lane_floats))
 
 
 def run_lanes(block: Callable[[int, int, int], Iterator[None]], count: int, lanes: int) -> None:

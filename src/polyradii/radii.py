@@ -79,7 +79,7 @@ def projected_sq_norms(points: np.ndarray, frames: np.ndarray, ks) -> np.ndarray
     stack = frames[..., :kmax].reshape(-1, frames.shape[-2], kmax)
     out = np.empty((len(stack), N, len(ks)))
     _project_stack(points, lambda lo, hi: stack[lo:hi], len(stack), kmax,
-                   lambda sq, lo, hi, row: _sum_segments(sq, ks, out[lo:hi]))
+                   lambda sq, lo, hi: _sum_segments(sq, ks, out[lo:hi]))
     return out.reshape(frames.shape[:-2] + out.shape[1:])
 
 
@@ -103,9 +103,9 @@ def _chunk_rule(N: int, n: int, w: int, split_rows: bool) -> tuple[int, list[int
 def _project_stack(
     points: np.ndarray, frames, count: int, w: int, reduce, split_rows: bool = False
 ) -> None:
-    """Call reduce(points[r0:r1] @ frames(lo, hi), lo, hi, row) over a stack of
-    ``count`` (n, w) slices, frames(lo, hi) being its slices lo..hi: row chunk
-    ``row`` (0 when rows are not cut) of each chunk of slices lo..hi.
+    """Call reduce(points[r0:r1] @ frames(lo, hi), lo, hi) over a stack of
+    ``count`` (n, w) slices, frames(lo, hi) being its slices lo..hi: each row
+    chunk r0..r1 of each chunk of slices lo..hi.
 
     A chunk holds the slices per chunk of _chunk_rule, but no more than keep
     the lanes' frames within _BLOCK floats together (one slice when a single
@@ -113,9 +113,9 @@ def _project_stack(
     Chunks run in parallel.lane_count's lanes through run_lanes, so every
     product runs on one BLAS thread.  A lane calls frames once per chunk it
     takes and runs the chunk's row chunks in order, projecting into its own
-    scratch.  Neither ``frames`` nor ``reduce`` runs lanes; reduce may
-    overwrite the product and writes only its own slots, those of slices
-    lo..hi in row chunk ``row``.
+    scratch; rows are cut only in chunks of one slice, so no two lanes write
+    one slice's slots.  Neither ``frames`` nor ``reduce`` runs lanes; reduce
+    may overwrite the product and writes (or accumulates) only lo..hi's slots.
     """
     N, n = points.shape
     per_chunk, bounds = _chunk_rule(N, n, w, split_rows)
@@ -130,9 +130,9 @@ def _project_stack(
             lo = chunk * per_chunk
             hi = min(lo + per_chunk, count)
             stack = frames(lo, hi)
-            for row, (r0, r1) in enumerate(zip(bounds[:-1], bounds[1:])):
+            for r0, r1 in zip(bounds[:-1], bounds[1:]):
                 product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
-                reduce(np.matmul(points[r0:r1], stack, out=product), lo, hi, row)
+                reduce(np.matmul(points[r0:r1], stack, out=product), lo, hi)
 
     run_lanes(block, -(-count // per_chunk), lanes)
 
@@ -160,12 +160,12 @@ def _sum_segments(sq: np.ndarray, ks, out: np.ndarray) -> None:
 
 
 def _max_sq_norms(sq: np.ndarray, ks, out: np.ndarray) -> None:
-    """The max kernel's reduction: _sum_segments of sq, then its max over the
-    points (axis -2) written to out; numpy only."""
+    """The max kernel's reduction: _sum_segments of sq, then out raised to its
+    max over the points (axis -2); numpy only.  Callers start out at zero."""
     # segment-major, so the max runs over contiguous rows
     sums = np.empty(sq.shape[:-2] + (len(ks), sq.shape[-2]))
     _sum_segments(sq, ks, sums.swapaxes(-1, -2))
-    np.max(sums, axis=-1, out=out)
+    np.maximum(out, np.max(sums, axis=-1), out=out)
 
 
 def radius_profile(
@@ -207,18 +207,17 @@ def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> n
     flags are one _project_stack stack, whose lanes draw each chunk's flags
     with haar_frames before they project it.  A flag whose N x max(k)
     product needs more than _BLOCK floats is a chunk of its own, projected
-    in row chunks by the lane that drew it.  Each row chunk sums its
-    segments into its own array and writes its max per flag and k once, and
-    the row chunks' maxima are merged after the lanes stop; the max is
-    exact, so the merge keeps the bits.
+    in row chunks by the lane that drew it, in row order.  Each row chunk
+    sums its segments into its own array and raises the flag's running max
+    per k, whose zero start changes no max of squared norms; the max is
+    exact, so row chunks keep the bits, and the state is M * len(ks) floats.
     """
-    (N, n), kmax = points.shape, int(ks[-1])
-    row_chunks = len(_chunk_rule(N, n, kmax, True)[1]) - 1
-    maxima = np.empty((row_chunks, M, ks.size))  # per row chunk, over its points
+    n, kmax = points.shape[1], int(ks[-1])
+    peaks = np.zeros((M, ks.size))  # squared, over the points projected so far
 
     def flags(lo: int, hi: int) -> np.ndarray:
         return haar_frames(n, kmax, [key.child(i) for i in range(lo, hi)])
 
     _project_stack(points, flags, M, kmax,
-                   lambda sq, lo, hi, row: _max_sq_norms(sq, ks, maxima[row, lo:hi]), True)
-    return np.sqrt(np.max(maxima, axis=0))
+                   lambda sq, lo, hi: _max_sq_norms(sq, ks, peaks[lo:hi]), True)
+    return np.sqrt(peaks)

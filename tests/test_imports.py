@@ -8,12 +8,12 @@ starts threads or counts CPUs, so the lane policy stays in one module.  Only
 ``streams`` names numpy's seeding and bit generators, so every draw goes
 through its key derivation.  Only ``radii`` and ``gaussian`` run lanes, so
 every laned projection goes through one function, and no lane calls a
-function that runs lanes.  Every product and QR runs inside one_blas_thread,
-held by its own function or by the lane runner.  No function declares a
-global: module state is made at import.  Only the chi quadrature behind
-``gaussian`` loads scipy.integrate:
-it pulls in some 290 modules that every other command would pay for in
-start-up time and memory.
+function that runs lanes.  Only ``_project_stack`` calls ``_chunk_rule``, so
+no caller of it sizes anything by the row chunks.  Every product and QR runs
+inside one_blas_thread, held by its own function or by the lane runner.  No
+function declares a global: module state is made at import.  Only the chi
+quadrature behind ``gaussian`` loads scipy.integrate: it pulls in some 290
+modules that every other command would pay for in start-up time and memory.
 """
 
 import ast
@@ -221,6 +221,18 @@ def test_lanes_never_nest():
                     for call in ast.walk(block)
                     if isinstance(call, ast.Call) and _called_name(call) in laned)
     assert nested == []
+
+
+def test_only_the_stack_projection_cuts_chunks():
+    # the row chunks of a flag are _project_stack's business: a reduce keeps
+    # its own state per slice, so no other function asks _chunk_rule how the
+    # rows are cut or sizes an array by their count
+    callers = sorted(f"{path.name}:{node.name}" for path in sorted(SRC.glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.FunctionDef)
+                     and any(isinstance(call, ast.Call) and _called_name(call) == "_chunk_rule"
+                             for call in ast.walk(node)))
+    assert callers == ["radii.py:_project_stack"]
 
 
 def test_only_streams_makes_generators():

@@ -67,6 +67,12 @@ def test_projected_sq_norms_monotone_and_complete(key):
         np.testing.assert_allclose(full, np.sum(pts**2, axis=1), rtol=1e-12, atol=0.0)
 
 
+def test_an_empty_stack_projects_to_an_empty_result():
+    # a stack of no frames runs one lane that takes no chunk
+    sq = projected_sq_norms(np.ones((5, 3)), np.ones((0, 3, 2)), [1, 2])
+    assert sq.shape == (0, 5, 2)
+
+
 def _reduceat_cumsum(points, frames, ks):
     """The kernel's reference: the same GEMM on one BLAS thread, as the kernel
     runs it, and the same square, then numpy's own segment sums and prefix sums."""
@@ -351,13 +357,21 @@ def test_a_failed_frame_draw_in_a_helper_lane_stops_the_profile(key, monkeypatch
 def test_max_kernel_sums_segment_major_with_the_same_bits(key, shape, ks):
     # the max kernel sums into a (B, len(ks), rows) array, so its max runs over
     # contiguous rows; its maxima equal those of point-major sums with zero
-    # tolerance, on an in-regime unit (reduceat) and a block of small flags
+    # tolerance, on an in-regime unit (reduceat) and a block of small flags.
+    # It raises its output, started at zero, to the max: an entry that starts
+    # above the max keeps its value
     sq = standard_normal(key.child(52), math.prod(shape)).reshape(shape)
     sums = np.empty(shape[:-1] + (len(ks),))
     radii._sum_segments(sq.copy(), ks, sums)
-    got = np.empty((shape[0], len(ks)))
+    expected = np.max(sums, axis=-2)
+    got = np.zeros((shape[0], len(ks)))
     radii._max_sq_norms(sq.copy(), ks, got)
-    assert np.array_equal(got, np.max(sums, axis=-2))
+    assert np.array_equal(got, expected)
+    start = np.where(np.arange(expected.size).reshape(expected.shape) % 2, 2 * expected, 0.0)
+    got = start.copy()
+    radii._max_sq_norms(sq.copy(), ks, got)
+    assert np.array_equal(got, np.maximum(start, expected))
+    assert np.array_equal(got[start > 0], start[start > 0])
 
 
 def test_row_chunks_just_above_the_small_gemm_cut_keep_the_bits(key, monkeypatch):
@@ -387,7 +401,7 @@ def test_row_chunks_keep_the_bits_of_the_whole_product(key, monkeypatch):
     # its chunk starts off that grid (chunks of 329 and 256 rows change
     # hundreds of entries); the chunk rule's multiples of _ROW_TILE keep
     # every entry, also at the in-regime n = k = 100, and on 1, 2 and 3
-    # usable CPUs every row chunk is reduced once, whichever lane runs it
+    # usable CPUs the row chunks are reduced once each, in row order
     for n, w, N in ((200, 199, 4000), (260, 260, 3000), (100, 100, 10_000), (64, 33, 9001)):
         pts = standard_normal(key.child(42).child(n), N * n).reshape(N, n)
         frame = haar_frames(n, w, [key.child(43).child(n)])[0]
@@ -397,16 +411,39 @@ def test_row_chunks_keep_the_bits_of_the_whole_product(key, monkeypatch):
             whole = pts @ frame
         for cpus in (1, 2, 3):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
-            chunks, rows = {}, []
+            chunks = []
 
-            def keep(product, lo, hi, row):
+            def keep(product, lo, hi):
                 assert (lo, hi) == (0, 1)
-                rows.append(row)
-                chunks[row] = product[0].copy()
+                chunks.append(product[0].copy())
 
             radii._project_stack(pts, lambda lo, hi: frame[None], 1, w, keep, True)
-            assert sorted(rows) == list(range(row_chunks))
-            assert np.array_equal(np.concatenate([chunks[row] for row in range(row_chunks)]), whole)
+            assert len(chunks) == row_chunks
+            assert np.array_equal(np.concatenate(chunks), whole)
+
+
+def test_later_row_chunks_raise_the_running_max(key):
+    # a 50 000 x 8 cloud is cut into three row chunks by the default chunk rule
+    # (a 9000 x 8 one is not: its rows stay whole for the GEMM floor); with
+    # every point at the origin but one, in the last row chunk or in the
+    # first, each flag's max comes from that chunk alone, so the running max
+    # must take it there and keep it; the all-origin cloud gives radii of
+    # exactly 0
+    n, N, M = 8, 50_000, 5
+    bounds = radii._chunk_rule(N, n, n, True)[1]
+    assert len(bounds) == 4
+    points = np.zeros((N, n))
+    cloud = PointCloud(points)
+    prof = radius_profile(cloud, M, key.child(53))
+    assert np.array_equal(prof.values, np.zeros(n)) and np.array_equal(prof.stderrs, np.zeros(n))
+    for j in (bounds[-2] + 1, bounds[1] - 1):
+        points[:] = 0.0
+        points[j] = standard_normal(key.child(54), n)
+        for ks in (None, [1], [2, 3, 7]):
+            prof = radius_profile(cloud, M, key.child(55), ks)
+            values, stderrs = _reference_profile(cloud, M, key.child(55), prof.ks)
+            assert np.all(values > 0)
+            assert np.array_equal(prof.values, values) and np.array_equal(prof.stderrs, stderrs)
 
 
 @pytest.mark.parametrize("n, N, ks", [(260, 3000, [1, 199, 260]), (100, 10_000, [1, 100])])
