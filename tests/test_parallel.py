@@ -79,9 +79,9 @@ def test_stacked_sq_norms_in_lanes_equal_the_per_slice_calls(key, monkeypatch):
 
 def test_flag_radii_in_lanes_equal_the_per_flag_loop(key, monkeypatch):
     # 12 flags of 1000 x 16 are projected in 3 chunks of 4; a 10^4 x 16 flag
-    # exceeds _BLOCK and is a chunk of its own, projected in 2 row chunks
-    # (4128 and 5872 rows), so 12 flags make 12 chunks.  The lanes draw and
-    # project whole chunks, min(lanes, chunks) of them at once.  ks [3, 16]
+    # exceeds _BLOCK and is a chunk of its own, cut into 2 row chunks (4128
+    # and 5872 rows) and so screened, so 12 flags make 12 chunks.  The lanes
+    # draw and project whole chunks, min(lanes, chunks) of them at once.  ks [3, 16]
     # sums a 13-column segment with reduceat, [1, 4, 8, 16] by column adds
     real = radii._sum_segments
     threads = set()
@@ -346,16 +346,17 @@ def test_run_lanes_stops_every_lane_on_error(monkeypatch):
 
 def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
     # lanes own the cores: while a loop runs, in 1 lane or 2, numpy's OpenBLAS
-    # runs one thread, and so does the QR of radius_profile's frame draws in
-    # its lanes; it gets its old count back
+    # runs one thread, and so do the QR of radius_profile's frame draws and
+    # the float32 screen in its lanes; it gets its old count back
     # after the loop, also when a helper lane raised.  run_lanes holds the
     # thread itself, whoever calls it, a one-unit projection included
     blas = parallel._openblas()
     if not blas:
         pytest.skip("numpy's BLAS exposes no thread count")
     get, set_threads = blas
-    seen = []
-    real_qr, real_sums = np.linalg.qr, radii._sum_segments
+    seen, chunks = [], []
+    real_qr, real_sums, real_take = np.linalg.qr, radii._sum_segments, radii._Scan.take
+    real_chunk = radii._rescore_chunk
 
     def qr(a):
         seen.append(get())
@@ -364,6 +365,14 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
     def sum_segments(sq, ks, out):
         seen.append(get())
         real_sums(sq, ks, out)
+
+    def take(scan, r0, sums):
+        seen.append(get())
+        real_take(scan, r0, sums)
+
+    def rescore_chunk(*args):
+        chunks.append(args)
+        return real_chunk(*args)
 
     def block(lane, start, stop):
         for _ in range(start, stop):
@@ -375,18 +384,22 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", qr)
     monkeypatch.setattr(radii, "_sum_segments", sum_segments)
+    monkeypatch.setattr(radii._Scan, "take", take)
+    monkeypatch.setattr(radii, "_rescore_chunk", rescore_chunk)
     # flags of 10^4 x 100 floats each, one flag and one QR per chunk
     cloud = PointCloud(sample_points(make_body("cube", 100), 10_000, key.child(0)))
     assert len(radii._chunk_rule(10_000, 100, 100, True)[1]) == 17
     old = get()
     try:
         set_threads(2)
-        # each flag is cut into 16 row chunks in 2 lanes and in 1
+        # each flag is cut into rows, so it is screened in one float32 block
+        # and then rescored in a chunk per candidate, in 2 lanes and in 1
         for lanes in (2, 1):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
             seen.clear()
+            chunks.clear()
             radius_profile(cloud, 8, key.child(1), [1, 100])
-            assert len(seen) == 8 + 8 * 16 and set(seen) == {1}
+            assert len(chunks) >= 8 and len(seen) == 8 + 8 + len(chunks) and set(seen) == {1}
             assert get() == 2
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         seen.clear()

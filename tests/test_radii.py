@@ -260,8 +260,10 @@ def test_blocked_profile_equals_the_reference_loop(key, monkeypatch, block):
         PointCloud(sample_points(make_body("cube", n), 1000, key.child(33))),
         _cloud(np.full((1, n), 0.3)),  # N = 1
         _cloud(np.linspace(-1, 1, 9)[:, None] * np.ones(n)),  # collinear
-        PointCloud(sample_points(make_body("simplex", n), 9000, key.child(34))),  # N * n > 2^16
+        PointCloud(sample_points(make_body("simplex", n), 40_000, key.child(34))),  # cut into rows
     ]
+    # the GEMM floor makes row chunks of at least 16 416 points at n = w = 8
+    assert (len(radii._chunk_rule(40_000, n, n, True)[1]) > 2) == (block <= 1 << 16)
     for c, cloud in enumerate(clouds):
         for ks in (None, [1], [n], [2, 3, 7]):
             for M in (2, 5, 20):
@@ -279,9 +281,11 @@ def test_blocked_profile_equals_the_reference_loop(key, monkeypatch, block):
                 assert sorted(sizes) == sorted([B] * (M // B) + ([M % B] if M % B else []))
                 seen.update({"several" if B > 1 else "one flag per chunk",
                              "ragged" if M % B else "even"})
-    # a chunk holds a single flag wherever the 9000-point flags are cut into
-    # rows, at every _BLOCK up to 2^16 floats (at 2^16 the 9000 x 8 products)
-    single = {"one flag per chunk"} if block <= 1 << 16 else set()
+                if len(bounds) > 2:
+                    seen.add("cut into rows")
+    # a chunk holds a single flag wherever the 40 000-point flags are cut
+    # into rows, at every _BLOCK up to 2^16 floats
+    single = {"one flag per chunk", "cut into rows"} if block <= 1 << 16 else set()
     assert seen == {"several", "ragged", "even"} | single
 
 
@@ -400,15 +404,33 @@ def test_row_chunks_keep_the_bits_of_the_whole_product(key, monkeypatch):
     # at w = 199 or 260 the last w % 8 columns of a row get other bits when
     # its chunk starts off that grid (chunks of 329 and 256 rows change
     # hundreds of entries); the chunk rule's multiples of _ROW_TILE keep
-    # every entry, also at the in-regime n = k = 100, and on 1, 2 and 3
-    # usable CPUs the row chunks are reduced once each, in row order
+    # every entry, also at the in-regime n = k = 100, and so do the max
+    # kernel's rescore chunks: the fewest rows on the grid that do
+    # _GEMM_FLOOR multiply-adds, from a row's tile or, where that passes the
+    # cloud's end, from the grid row that leaves as many to N.  A cloud the
+    # screen cannot bound (here squared norms past 2^1000, by an exact power
+    # of two) is projected in the chunk rule's row chunks, and on 1, 2 and 3
+    # usable CPUs they are reduced once each, in row order
+    tile = radii._ROW_TILE
     for n, w, N in ((200, 199, 4000), (260, 260, 3000), (100, 100, 10_000), (64, 33, 9001)):
         pts = standard_normal(key.child(42).child(n), N * n).reshape(N, n)
         frame = haar_frames(n, w, [key.child(43).child(n)])[0]
-        row_chunks = len(radii._chunk_rule(N, n, w, True)[1]) - 1
-        assert row_chunks > 2
+        bounds = radii._chunk_rule(N, n, w, True)[1]
+        assert len(bounds) > 3
+        floor = radii._floor_rows(n, w)
+        rows = (0, tile - 1, tile, N // 2, N - floor, N - 1)
+        rescore = [radii._rescore_chunk(row, N, n, w) for row in rows]
+        for row, (r0, r1) in zip(rows, rescore):
+            assert r0 <= row < r1 and r0 % tile == 0 and (r1 - r0) * n * w >= radii._GEMM_FLOOR
+            assert r1 - r0 == floor or r1 == N and floor < r1 - r0 < floor + tile
+        assert rescore[-1] == ((N - floor) // tile * tile, N)
+        assert rescore[-1][0] < (N - 1) // tile * tile  # extended back
         with parallel.one_blas_thread():
             whole = pts @ frame
+            for r0, r1 in [*zip(bounds[:-1], bounds[1:]), *rescore]:
+                assert np.array_equal(pts[r0:r1] @ frame, whole[r0:r1]), (n, w, r0, r1)
+            big = pts * 2.0**500
+            whole = big @ frame
         for cpus in (1, 2, 3):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
             chunks = []
@@ -417,8 +439,8 @@ def test_row_chunks_keep_the_bits_of_the_whole_product(key, monkeypatch):
                 assert (lo, hi) == (0, 1)
                 chunks.append(product[0].copy())
 
-            radii._project_stack(pts, lambda lo, hi: frame[None], 1, w, keep, True)
-            assert len(chunks) == row_chunks
+            radii._project_stack(big, lambda lo, hi: frame[None], 1, w, keep, np.array([w]))
+            assert len(chunks) == len(bounds) - 1
             assert np.array_equal(np.concatenate(chunks), whole)
 
 
@@ -444,6 +466,82 @@ def test_later_row_chunks_raise_the_running_max(key):
             values, stderrs = _reference_profile(cloud, M, key.child(55), prof.ks)
             assert np.all(values > 0)
             assert np.array_equal(prof.values, values) and np.array_equal(prof.stderrs, stderrs)
+
+
+def _screened_clouds(key, n, N):
+    """Clouds that the max kernel's screen must not get wrong: ties, repeats,
+    zeros and scales far from 1."""
+    cube = sample_points(make_body("cube", n), N, key)
+    shell = standard_normal(key.child(1), N * n).reshape(N, n)
+    shell /= np.sqrt(np.sum(shell**2, axis=1))[:, None]  # every |x_j| ties up to rounding
+    repeated = cube.copy()
+    top = repeated[np.argmax(np.sum(repeated**2, axis=1))].copy()
+    repeated[[3, N // 2, N - 1]] = top  # the longest point in three row chunks
+    # the longest point with each coordinate moved by about 3e-7 and 1e-15
+    # of itself: the top rows' projections then differ by less than the
+    # float32 screen's rounding, and their norms by less than the float64
+    # kernel's, so a screen without its bound E_k misses maxima here
+    jitter = standard_normal(key.child(2), N * n).reshape(N, n)
+    return {
+        "shell": shell,
+        "repeated": repeated,
+        "near ties in float32": top * (1 + 3e-7 * jitter),
+        "near ties in float64": top * (1 + 1e-15 * jitter),
+        "collinear": np.linspace(-1, 1, N)[:, None] * np.linspace(0.5, 1.5, n),
+        "origin": np.zeros((N, n)),
+        "cube * 2^60": cube * 2.0**60,
+        "cube * 2^-60": cube * 2.0**-60,
+        "cube * 2^-540": cube * 2.0**-540,  # float64 squares underflow
+    }
+
+
+@pytest.mark.parametrize("ks", [[64], [1, 8, 64], [2, 32], [3, 63]])
+def test_screened_flags_equal_the_reference_loop(key, monkeypatch, ks):
+    # every flag here is cut into row chunks, so its lane screens it in
+    # float32 and projects in float64 only the rescore chunks of its
+    # candidates; the profile must have the per-flag reference's bits, with
+    # the top column k = n screened by the norms and without it
+    n, N, M = 64, 10_000, 5
+    assert len(radii._chunk_rule(N, n, ks[-1], True)[1]) > 2
+    chunks = []
+    real_chunk = radii._rescore_chunk
+
+    def rescore_chunk(*args):
+        chunks.append(args)
+        return real_chunk(*args)
+
+    monkeypatch.setattr(radii, "_rescore_chunk", rescore_chunk)
+    for name, points in _screened_clouds(key.child(56), n, N).items():
+        chunks.clear()
+        cloud = PointCloud(points)
+        prof = radius_profile(cloud, M, key.child(57), ks)
+        values, stderrs = _reference_profile(cloud, M, key.child(57), prof.ks)
+        assert np.array_equal(prof.values, values), name
+        assert np.array_equal(prof.stderrs, stderrs), name
+        assert len(chunks) >= M, name
+        if name == "origin":
+            assert not np.any(prof.values) and not np.any(prof.stderrs)
+
+
+def test_clouds_the_screen_cannot_bound_are_projected_in_row_chunks(key, monkeypatch):
+    # a NaN or squared norms of 2^1000 and more leave no bound for the
+    # screen: such a flag is projected in all its row chunks, and a NaN
+    # reaches the radii as in the per-flag reference
+    n, N, M, ks = 16, 20_000, 4, [1, 4, 16]
+    chunks = []
+    monkeypatch.setattr(radii, "_rescore_chunk", lambda *args: chunks.append(args))
+    cube = sample_points(make_body("cube", n), N, key.child(58))
+    nan = cube.copy()
+    nan[N // 2, 3] = np.nan
+    assert np.max(np.sum((cube * 2.0**500) ** 2, axis=1)) >= 2.0**1000
+    for points, nan_values in ((nan, True), (cube * 2.0**500, False)):
+        cloud = PointCloud(points)
+        prof = radius_profile(cloud, M, key.child(59), ks)
+        values, stderrs = _reference_profile(cloud, M, key.child(59), prof.ks)
+        assert np.array_equal(prof.values, values, equal_nan=True)
+        assert np.array_equal(prof.stderrs, stderrs, equal_nan=True)
+        assert np.all(np.isnan(prof.values)) == nan_values
+    assert chunks == []
 
 
 @pytest.mark.parametrize("n, N, ks", [(260, 3000, [1, 199, 260]), (100, 10_000, [1, 100])])
