@@ -90,28 +90,25 @@ def _floor_rows(n: int, w: int) -> int:
     return -(-_GEMM_FLOOR // (n * w * _ROW_TILE)) * _ROW_TILE
 
 
-def _chunk_rule(N: int, n: int, w: int, split_rows: bool) -> tuple[int, list[int]]:
-    """How N points are projected onto a (B, n, w) stack: (slices per chunk, row bounds).
+def _chunk_rule(N: int, n: int, w: int, split_rows: bool) -> tuple[int, bool]:
+    """How N points are projected onto a (B, n, w) stack: (slices per chunk, cut).
 
     A chunk is as many whole slices as keep its N x w products within _BLOCK
-    floats, or one slice when a slice needs more.  With ``split_rows`` such a
-    slice is projected in row chunks of R points, the larger of the most
-    points within _BLOCK floats and the fewest whose GEMM does _GEMM_FLOOR
-    multiply-adds, each rounded to a multiple of _ROW_TILE inside its bound;
-    the last chunk also takes the fewer than R points left over, and a slice
-    of fewer than R points is one row chunk.
+    floats, or one slice when a slice needs more.  With ``split_rows`` a
+    slice is cut into rows when both hold: its N x w product exceeds _BLOCK
+    floats, and the cloud holds at least two rescore chunks, N >=
+    2 _floor_rows(n, w).  A cut slice is screened and projected only in the
+    _rescore_chunks its screen keeps (_project_stack).
     """
-    if N * w <= _BLOCK or not split_rows:
-        return max(1, _BLOCK // (N * w)), [0, N]
-    rows = max(_BLOCK // w // _ROW_TILE * _ROW_TILE, _floor_rows(n, w))
-    return 1, [*range(0, max(1, N // rows) * rows, rows), N]
+    cut = split_rows and N * w > _BLOCK and N >= 2 * _floor_rows(n, w)
+    return max(1, _BLOCK // (N * w)), cut
 
 
 def _rescore_chunk(row: int, N: int, n: int, w: int) -> tuple[int, int]:
     """The rows r0..r1 that the max kernel projects in float64 for ``row``:
     _floor_rows(n, w) rows from the multiple of _ROW_TILE at or below row, or,
     where they would pass N, the rows to N from the last multiple that leaves
-    at least that many (N is at least _floor_rows(n, w)).  Such a chunk starts
+    at least that many (a cut cloud holds two such chunks).  Such a chunk starts
     on the tile grid and does _GEMM_FLOOR multiply-adds, so by the two facts
     above its rows have the bits of the same rows of the whole product."""
     rows = _floor_rows(n, w)
@@ -122,7 +119,8 @@ def _rescore_chunk(row: int, N: int, n: int, w: int) -> tuple[int, int]:
 
 
 def _project_stack(
-    points: np.ndarray, frames, count: int, w: int, reduce, ks: np.ndarray | None = None
+    points: np.ndarray, frames, count: int, w: int, reduce,
+    ks: np.ndarray | None = None, norms: np.ndarray | None = None,
 ) -> None:
     """Call reduce(points[r0:r1] @ frames(lo, hi), lo, hi) over a stack of
     ``count`` (n, w) slices, frames(lo, hi) being its slices lo..hi: each row
@@ -138,23 +136,22 @@ def _project_stack(
     one slice's slots.  Neither ``frames`` nor ``reduce`` runs lanes; reduce
     may overwrite the product and writes (or accumulates) only lo..hi's slots.
 
-    Rows are cut only for the max kernel, which passes its ``ks``.  The lane
+    Rows are cut only for the max kernel, which passes its ``ks`` and the
+    points' checked squared ``norms`` (for _Screen to overwrite).  The lane
     that takes a slice cut into rows screens it in float32 (_Screen), and
-    reduce then sees only the _rescore_chunk of each row that can hold the
+    its row chunks are the _rescore_chunk of each row that can hold the
     slice's max over the points for some k; a row may come twice, which a
-    running max allows.  A cloud that _Screen cannot bound is projected in
-    _chunk_rule's row chunks.
+    running max allows.  Otherwise the one row chunk is 0..N.
     """
     N, n = points.shape
-    per_chunk, bounds = _chunk_rule(N, n, w, ks is not None)
-    cut = len(bounds) > 2
+    per_chunk, cut = _chunk_rule(N, n, w, ks is not None)
     # a rescore chunk that ends at N has fewer than _ROW_TILE rows more than the floor
-    rows = max(bounds[-1] - bounds[-2], _floor_rows(n, w) + _ROW_TILE if cut else 0)
+    rows = _floor_rows(n, w) + _ROW_TILE if cut else N
     screen_floats = _SCREEN_FLOATS if cut else 0
     lanes = lane_count(-(-count // per_chunk), per_chunk * rows * w + screen_floats)
     per_chunk = min(per_chunk, max(1, _BLOCK // (lanes * n * w)))
     scratch = np.empty((lanes, min(per_chunk, count) * rows * w))
-    screen = _Screen.of(points, ks, lanes) if cut else None
+    screen = _Screen(points, norms, ks, lanes) if cut else None
 
     def block(lane: int, start: int, stop: int):
         for chunk in range(start, stop):
@@ -162,8 +159,8 @@ def _project_stack(
             lo = chunk * per_chunk
             hi = min(lo + per_chunk, count)
             stack = frames(lo, hi)
-            cuts = zip(bounds[:-1], bounds[1:])
-            if screen is not None:
+            cuts = [(0, N)]
+            if cut:
                 scan = _Scan(screen, stack[0].T @ stack[0])
                 narrow = stack[0, :, : screen.width].astype(np.float32)
                 for r0, r1 in screen.blocks:
@@ -195,6 +192,8 @@ def _relative_error(ks: np.ndarray, adds: int, unit: float, rho: float, eps: flo
 class _Screen:
     """The max kernel's float32 screen of one cloud, made for slices cut into rows.
 
+    Its bound needs n u below 1 for gamma_n and every squared norm finite
+    and below 2^1000, far from float64's range: _flag_radii checks both.
     It holds a float32 copy of the cloud scaled by 2^-e, e = the exponent of
     max_j |x_j| plus one, so every coordinate is below 1/2 (the scaling is
     exact, and float32 neither overflows nor loses the max), and the float64
@@ -257,16 +256,6 @@ class _Screen:
                        ] if self.width else []
         self.product = np.empty((lanes, rows, self.width), np.float32)  # each lane's scratch
         self.sums = np.empty((lanes, rows, self.screened.size), np.float32)
-
-    @classmethod
-    def of(cls, points: np.ndarray, ks: np.ndarray, lanes: int) -> _Screen | None:
-        """The screen of ``points``, or None where the bound does not hold: a
-        norm of 2^1000 or more (or not finite) comes near float64's range, and
-        gamma_n needs n u below 1."""
-        norms = np.einsum("ij,ij->i", points, points)
-        if not (np.max(norms) < 2.0**1000 and points.shape[1] < 1 << 20):
-            return None
-        return cls(points, norms, ks, lanes)
 
     def bound(self, gram: np.ndarray) -> tuple[np.ndarray, float | None]:
         """(E_k for each screened k, E_n of the top column or None) for the
@@ -365,7 +354,8 @@ def radius_profile(
     _flag_radii computes it in lanes that each draw the flags they project.
     The per-point radii never decrease with k, and
     neither does their max or the flag average.  ``ks`` restricts the grid
-    (default: every k = 1..n).
+    (default: every k = 1..n).  A cloud outside _flag_radii's input contract
+    raises ValueError before any flag is drawn.
     """
     N, n = cloud.points.shape
     if ks is None:
@@ -391,8 +381,10 @@ def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> n
     Row i has the bits of np.sqrt(np.max(projected_sq_norms(points, frame_i,
     ks), axis=0)) at any chunk size, lane count and BLAS thread count.  The
     flags are one _project_stack stack, whose lanes draw each chunk's flags
-    with haar_frames before they project it.  A flag that _chunk_rule cuts
-    into row chunks is a chunk of its own: the lane that drew it screens it
+    with haar_frames before they project it.  Its input contract, which the
+    float32 screen's bound needs: n < 2^20, and squared norms finite and
+    below 2^1000; any other cloud raises ValueError.  A flag that _chunk_rule
+    cuts into rows is a chunk of its own: the lane that drew it screens it
     in float32 and projects in float64, in row order, only the rescore
     chunks of the rows that can hold its max for some k.  Each projected
     chunk sums its segments into its own array and raises the flag's
@@ -401,11 +393,15 @@ def _flag_radii(points: np.ndarray, M: int, key: StreamKey, ks: np.ndarray) -> n
     M * len(ks) floats.
     """
     n, kmax = points.shape[1], int(ks[-1])
+    norms = np.einsum("ij,ij->i", points, points)
+    if not (n < 1 << 20 and np.max(norms) < 2.0**1000):
+        raise ValueError("points need fewer than 2^20 coordinates and squared norms "
+                         "that are finite and below 2^1000")
     peaks = np.zeros((M, ks.size))  # squared, over the points projected so far
 
     def flags(lo: int, hi: int) -> np.ndarray:
         return haar_frames(n, kmax, [key.child(i) for i in range(lo, hi)])
 
     _project_stack(points, flags, M, kmax,
-                   lambda sq, lo, hi: _max_sq_norms(sq, ks, peaks[lo:hi]), ks)
+                   lambda sq, lo, hi: _max_sq_norms(sq, ks, peaks[lo:hi]), ks, norms)
     return np.sqrt(peaks)

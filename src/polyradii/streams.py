@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtri
 
 _U64_MAX = 2**64 - 1
-_WORD_TOP = 2**53 - 2  # the largest word _words_to_unit maps below 1
+_UNIT_TOP = 1.0 - 2.0**-52  # the largest double below 1
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx), 32-bit arithmetic
 _M32 = 0xFFFFFFFF
@@ -142,58 +142,52 @@ def generator(key: StreamKey) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=low | high << 64))
 
 
-def _words_to_unit(bits: np.ndarray) -> np.ndarray:
-    """Map 53-bit words into the open interval (0, 1) as (x + 0.5) / 2^53.
-
-    Above 2^52 the sum x + 0.5 rounds half to even, so x = 2^53 - 1 would map
-    to exactly 1.0; it is clamped (in place) to 2^53 - 2, which maps to
-    1 - 2^-52.  Every other word keeps its value.  One float64 array is
-    allocated and both steps are applied to it in place.
+def _open_unit(u: np.ndarray) -> np.ndarray:
+    """Map Generator.random's values x 2^-53, x a 53-bit word, into the open
+    interval (0, 1) as (x + 0.5) / 2^53, in place: adding 2^-54 rounds once,
+    as x + 0.5 would before its exact scaling.  Above 2^52 that sum rounds half to even,
+    so x = 2^53 - 1 would map to exactly 1.0; it is clamped to 1 - 2^-52, the
+    value of x = 2^53 - 2.
     """
-    np.minimum(bits, _WORD_TOP, out=bits)
-    u = bits.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return u
+    u += 2.0**-54
+    return np.minimum(u, _UNIT_TOP, out=u)
 
 
 def uniform(key: StreamKey, count: int) -> np.ndarray:
     """i.i.d. uniforms on the open interval (0, 1).
 
-    One 53-bit word per value (see _words_to_unit), so 0 and 1 are never
+    One 53-bit word per value (see _open_unit), so 0 and 1 are never
     returned and downstream transforms (log, ndtri) are safe.  The word is the
     top 53 bits of one raw Philox word, exactly what
     ``integers(0, 2**53, dtype=np.uint64)`` returns: Lemire's method for that
     range never rejects, since (2^64 - 2^53) mod 2^53 = 0, and keeps the high
-    word of x * 2^53, which is x >> 11.
+    word of x * 2^53, which is x >> 11.  Generator.random returns it times 2^-53.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    bits = generator(key).bit_generator.random_raw(count)
-    bits >>= 11
-    return _words_to_unit(bits)
+    return _open_unit(generator(key).random(count))
 
 
 def uniform_stack(keys: Sequence[StreamKey], count: int) -> np.ndarray:
     """(len(keys), count) uniforms whose row i has the bits of uniform(keys[i], count).
 
     One local Philox is reset to each key in turn (its key, a zero counter and
-    an empty buffer, the state a fresh generator starts in) and writes its raw
-    words into one uint64 array; the shift and _words_to_unit then run once
-    over the whole stack.
+    an empty buffer, the state a fresh generator starts in) and its
+    Generator fills that key's row of one float64 array; _open_unit then
+    runs once over the whole stack.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    bits = np.empty((len(keys), count), dtype=np.uint64)
+    u = np.empty((len(keys), count))
     philox = np.random.Philox(key=0)
+    gen = np.random.Generator(philox)
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for row, key in zip(bits, keys):
+    for row, key in zip(u, keys):
         state["state"]["key"] = _philox_key(key._pool)
         philox.state = state
-        row[:] = philox.random_raw(count)
-    bits >>= 11
-    return _words_to_unit(bits)
+        gen.random(out=row)
+    return _open_unit(u)
 
 
 def standard_normal(key: StreamKey, count: int) -> np.ndarray:

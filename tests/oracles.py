@@ -2,7 +2,8 @@
 
 No command runs these: exact support values, membership tests and outer
 radii of the body models, the outer radius and mean width of a point cloud,
-the chi CDF, and the calibration bands that the acceptance tests hold the
+the chi CDF, the map from 53-bit words to uniforms that streams.uniform
+must reproduce, and the calibration bands that the acceptance tests hold the
 default sweep grid and the chi oracle to.  They live beside the tests and are
 imported as ``from oracles import ...``.
 """
@@ -19,6 +20,7 @@ from polyradii.radii import PointCloud
 from polyradii.streams import StreamKey
 
 _CONTAINS_TOL = 1e-12
+_WORD_TOP = 2**53 - 2  # the largest word _words_to_unit maps below 1
 
 # Calibrated on the default grid (seed 20260809, M=64, R=10): the observed
 # ratio range across all four bodies was [1.015, 2.203]; the band pads that
@@ -110,3 +112,17 @@ def chi_cdf(k: int, t: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("chi_cdf needs t >= 0")
     out = gammainc(k / 2.0, 0.5 * t_arr * t_arr)
     return float(out) if np.isscalar(t) else out
+
+
+def _words_to_unit(bits: np.ndarray) -> np.ndarray:
+    """Map 53-bit words into the open interval (0, 1) as (x + 0.5) / 2^53.
+
+    Above 2^52 the sum x + 0.5 rounds half to even, so x = 2^53 - 1 would map
+    to exactly 1.0; it is clamped (in place) to 2^53 - 2, which maps to
+    1 - 2^-52.  Every other word keeps its value.
+    """
+    np.minimum(bits, _WORD_TOP, out=bits)
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u

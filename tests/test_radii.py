@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -262,8 +263,8 @@ def test_blocked_profile_equals_the_reference_loop(key, monkeypatch, block):
         _cloud(np.linspace(-1, 1, 9)[:, None] * np.ones(n)),  # collinear
         PointCloud(sample_points(make_body("simplex", n), 40_000, key.child(34))),  # cut into rows
     ]
-    # the GEMM floor makes row chunks of at least 16 416 points at n = w = 8
-    assert (len(radii._chunk_rule(40_000, n, n, True)[1]) > 2) == (block <= 1 << 16)
+    # the GEMM floor makes rescore chunks of 16 416 points at n = w = 8
+    assert radii._chunk_rule(40_000, n, n, True)[1] == (block <= 1 << 16)
     for c, cloud in enumerate(clouds):
         for ks in (None, [1], [n], [2, 3, 7]):
             for M in (2, 5, 20):
@@ -274,14 +275,13 @@ def test_blocked_profile_equals_the_reference_loop(key, monkeypatch, block):
                 assert np.array_equal(prof.values, values)
                 assert np.array_equal(prof.stderrs, stderrs)
                 N, kmax = cloud.points.shape[0], int(prof.ks[-1])
-                per_chunk, bounds = radii._chunk_rule(N, n, kmax, True)
-                rows = N - bounds[-2]
-                lanes = parallel.lane_count(-(-M // per_chunk), per_chunk * rows * kmax)
+                per_chunk, cut = radii._chunk_rule(N, n, kmax, True)
+                lanes = parallel.lane_count(-(-M // per_chunk), per_chunk * N * kmax)
                 B = min(M, per_chunk, max(1, block // (lanes * n * kmax)))
                 assert sorted(sizes) == sorted([B] * (M // B) + ([M % B] if M % B else []))
                 seen.update({"several" if B > 1 else "one flag per chunk",
                              "ragged" if M % B else "even"})
-                if len(bounds) > 2:
+                if cut:
                     seen.add("cut into rows")
     # a chunk holds a single flag wherever the 40 000-point flags are cut
     # into rows, at every _BLOCK up to 2^16 floats
@@ -381,15 +381,15 @@ def test_max_kernel_sums_segment_major_with_the_same_bits(key, shape, ks):
 def test_row_chunks_just_above_the_small_gemm_cut_keep_the_bits(key, monkeypatch):
     # OpenBLAS runs a GEMM of at most 10^6 multiply-adds on a small-matrix
     # kernel: at n = 100 and k = 50, chunks of 200 of these 10^4 points change
-    # about 17 000 entries of the product, and 2 of these 8 x 50 maxima.  Chunks
-    # of 201 rows, the fewest above the cut (the last one 352 rows, and no row
-    # tile at k = 50), must give the monolithic maxima at any lane count;
-    # blocks of 2 flags run in lanes
+    # about 17 000 entries of the product, and 2 of these 8 x 50 maxima.
+    # Rescore chunks of 201 rows, the fewest above the cut (from any row, as
+    # there is no row tile at k = 50), must give the monolithic maxima at any
+    # lane count
     monkeypatch.setattr(radii, "_BLOCK", 201 * 50)
     monkeypatch.setattr(radii, "_GEMM_FLOOR", 10**6 + 1)
     monkeypatch.setattr(radii, "_ROW_TILE", 1)
     n, N, M, ks = 100, 10_000, 8, np.arange(1, 51)
-    assert np.diff(radii._chunk_rule(N, n, 50, True)[1]).tolist() == [201] * 48 + [352]
+    assert radii._floor_rows(n, 50) == 201 and radii._chunk_rule(N, n, 50, True)[1]
     pts = sample_points(make_body("ball", n), N, key.child(40))
     frames = haar_frames(n, 50, [key.child(41).child(i) for i in range(M)])
     expected = np.stack([np.sqrt(np.max(projected_sq_norms(pts, frame, ks), axis=-2))
@@ -403,20 +403,18 @@ def test_row_chunks_keep_the_bits_of_the_whole_product(key, monkeypatch):
     # at one BLAS thread OpenBLAS computes a product in tiles of 12 rows, and
     # at w = 199 or 260 the last w % 8 columns of a row get other bits when
     # its chunk starts off that grid (chunks of 329 and 256 rows change
-    # hundreds of entries); the chunk rule's multiples of _ROW_TILE keep
-    # every entry, also at the in-regime n = k = 100, and so do the max
-    # kernel's rescore chunks: the fewest rows on the grid that do
-    # _GEMM_FLOOR multiply-adds, from a row's tile or, where that passes the
-    # cloud's end, from the grid row that leaves as many to N.  A cloud the
-    # screen cannot bound (here squared norms past 2^1000, by an exact power
-    # of two) is projected in the chunk rule's row chunks, and on 1, 2 and 3
-    # usable CPUs they are reduced once each, in row order
+    # hundreds of entries); the max kernel's rescore chunks keep every entry,
+    # also at the in-regime n = k = 100: the fewest rows on the _ROW_TILE
+    # grid that do _GEMM_FLOOR multiply-adds, from a row's tile or, where
+    # that passes the cloud's end, from the grid row that leaves as many to
+    # N.  In a cloud of one repeated point every row ties, so the screen
+    # keeps every row and each rescore chunk is projected; on 1, 2 and 3
+    # usable CPUs each is reduced once, in row order
     tile = radii._ROW_TILE
     for n, w, N in ((200, 199, 4000), (260, 260, 3000), (100, 100, 10_000), (64, 33, 9001)):
         pts = standard_normal(key.child(42).child(n), N * n).reshape(N, n)
         frame = haar_frames(n, w, [key.child(43).child(n)])[0]
-        bounds = radii._chunk_rule(N, n, w, True)[1]
-        assert len(bounds) > 3
+        assert radii._chunk_rule(N, n, w, True)[1]
         floor = radii._floor_rows(n, w)
         rows = (0, tile - 1, tile, N // 2, N - floor, N - 1)
         rescore = [radii._rescore_chunk(row, N, n, w) for row in rows]
@@ -427,10 +425,17 @@ def test_row_chunks_keep_the_bits_of_the_whole_product(key, monkeypatch):
         assert rescore[-1][0] < (N - 1) // tile * tile  # extended back
         with parallel.one_blas_thread():
             whole = pts @ frame
-            for r0, r1 in [*zip(bounds[:-1], bounds[1:]), *rescore]:
+            for r0, r1 in rescore:
                 assert np.array_equal(pts[r0:r1] @ frame, whole[r0:r1]), (n, w, r0, r1)
-            big = pts * 2.0**500
-            whole = big @ frame
+            repeated = np.repeat(pts[:1], N, axis=0)
+            whole = repeated @ frame
+        if w not in (199, 260):
+            continue
+        # every row's chunk, in row order: floor-row chunks, the last extended back
+        every, end = [], 0
+        while end < N:
+            every.append(radii._rescore_chunk(end, N, n, w))
+            end = every[-1][1]
         for cpus in (1, 2, 3):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
             chunks = []
@@ -439,26 +444,29 @@ def test_row_chunks_keep_the_bits_of_the_whole_product(key, monkeypatch):
                 assert (lo, hi) == (0, 1)
                 chunks.append(product[0].copy())
 
-            radii._project_stack(big, lambda lo, hi: frame[None], 1, w, keep, np.array([w]))
-            assert len(chunks) == len(bounds) - 1
-            assert np.array_equal(np.concatenate(chunks), whole)
+            radii._project_stack(repeated, lambda lo, hi: frame[None], 1, w, keep, np.array([w]),
+                                 np.einsum("ij,ij->i", repeated, repeated))
+            assert len(chunks) == len(every)
+            for (r0, r1), chunk in zip(every, chunks):
+                assert np.array_equal(chunk, whole[r0:r1]), (n, w, cpus, r0, r1)
 
 
 def test_later_row_chunks_raise_the_running_max(key):
-    # a 50 000 x 8 cloud is cut into three row chunks by the default chunk rule
-    # (a 9000 x 8 one is not: its rows stay whole for the GEMM floor); with
-    # every point at the origin but one, in the last row chunk or in the
-    # first, each flag's max comes from that chunk alone, so the running max
-    # must take it there and keep it; the all-origin cloud gives radii of
-    # exactly 0
+    # a 50 000 x 8 cloud is cut into rows by the default chunk rule (a
+    # 9000 x 8 one is not: it holds fewer than two rescore chunks of 16 416
+    # rows); with every point at the origin but one, in the first rescore
+    # chunk or in the last, each flag's max comes from that chunk alone, so
+    # the running max must take it there and keep it; the all-origin cloud
+    # gives radii of exactly 0
     n, N, M = 8, 50_000, 5
-    bounds = radii._chunk_rule(N, n, n, True)[1]
-    assert len(bounds) == 4
+    assert radii._chunk_rule(N, n, n, True)[1] and not radii._chunk_rule(9000, n, n, True)[1]
+    first, last = radii._rescore_chunk(0, N, n, n), radii._rescore_chunk(N - 1, N, n, n)
+    assert first[1] <= last[0]
     points = np.zeros((N, n))
     cloud = PointCloud(points)
     prof = radius_profile(cloud, M, key.child(53))
     assert np.array_equal(prof.values, np.zeros(n)) and np.array_equal(prof.stderrs, np.zeros(n))
-    for j in (bounds[-2] + 1, bounds[1] - 1):
+    for j in (N - 1, first[1] - 1):
         points[:] = 0.0
         points[j] = standard_normal(key.child(54), n)
         for ks in (None, [1], [2, 3, 7]):
@@ -502,7 +510,7 @@ def test_screened_flags_equal_the_reference_loop(key, monkeypatch, ks):
     # candidates; the profile must have the per-flag reference's bits, with
     # the top column k = n screened by the norms and without it
     n, N, M = 64, 10_000, 5
-    assert len(radii._chunk_rule(N, n, ks[-1], True)[1]) > 2
+    assert radii._chunk_rule(N, n, ks[-1], True)[1]
     chunks = []
     real_chunk = radii._rescore_chunk
 
@@ -523,25 +531,29 @@ def test_screened_flags_equal_the_reference_loop(key, monkeypatch, ks):
             assert not np.any(prof.values) and not np.any(prof.stderrs)
 
 
-def test_clouds_the_screen_cannot_bound_are_projected_in_row_chunks(key, monkeypatch):
-    # a NaN or squared norms of 2^1000 and more leave no bound for the
-    # screen: such a flag is projected in all its row chunks, and a NaN
-    # reaches the radii as in the per-flag reference
+def test_clouds_the_screen_cannot_bound_are_rejected(key):
+    # a NaN or an infinite coordinate, or squared norms of 2^1000 and more,
+    # leave the float32 screen no bound, so radius_profile raises ValueError
+    # for them before any flag is drawn, and warns of nothing; squared norms
+    # up to 2^998 are accepted and keep the per-flag reference's bits
     n, N, M, ks = 16, 20_000, 4, [1, 4, 16]
-    chunks = []
-    monkeypatch.setattr(radii, "_rescore_chunk", lambda *args: chunks.append(args))
+    assert radii._chunk_rule(N, n, 16, True)[1]
     cube = sample_points(make_body("cube", n), N, key.child(58))
-    nan = cube.copy()
-    nan[N // 2, 3] = np.nan
     assert np.max(np.sum((cube * 2.0**500) ** 2, axis=1)) >= 2.0**1000
-    for points, nan_values in ((nan, True), (cube * 2.0**500, False)):
-        cloud = PointCloud(points)
-        prof = radius_profile(cloud, M, key.child(59), ks)
-        values, stderrs = _reference_profile(cloud, M, key.child(59), prof.ks)
-        assert np.array_equal(prof.values, values, equal_nan=True)
-        assert np.array_equal(prof.stderrs, stderrs, equal_nan=True)
-        assert np.all(np.isnan(prof.values)) == nan_values
-    assert chunks == []
+    rejected = [cube * 2.0**500]
+    for value in (np.nan, np.inf, -np.inf):
+        rejected.append(cube.copy())
+        rejected[-1][N // 2, 3] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for points in rejected:
+            with pytest.raises(ValueError, match="finite and below 2\\^1000"):
+                radius_profile(PointCloud(points), M, key.child(59), ks)
+    cloud = PointCloud(cube * 2.0**498)
+    assert np.max(np.sum(cloud.points**2, axis=1)) <= 2.0**998
+    prof = radius_profile(cloud, M, key.child(59), ks)
+    values, stderrs = _reference_profile(cloud, M, key.child(59), prof.ks)
+    assert np.array_equal(prof.values, values) and np.array_equal(prof.stderrs, stderrs)
 
 
 @pytest.mark.parametrize("n, N, ks", [(260, 3000, [1, 199, 260]), (100, 10_000, [1, 100])])
@@ -601,23 +613,26 @@ def test_segment_sums_never_write_over_their_input(key, monkeypatch, n, N, ks):
 
 
 def test_row_chunks_never_fall_to_the_small_gemm_cut():
-    # a flag is cut into rows only when its N x w product exceeds _BLOCK floats;
-    # then every row chunk's GEMM does more than 10^6 multiply-adds, unless the
-    # flag is a single chunk.  Chunks are R rows, a multiple of _ROW_TILE, the
-    # last one R to 2R - 1
+    # a flag is cut into rows only when its N x w product exceeds _BLOCK
+    # floats and the cloud holds two rescore chunks; then every rescore
+    # chunk starts on the _ROW_TILE grid, does at least _GEMM_FLOOR (more
+    # than 10^6) multiply-adds and lies in [0, N]
+    tile = radii._ROW_TILE
     for n in (1, 2, 3, 8, 15, 16, 17, 64, 100, 128, 256, 1000):
         for w in sorted({1, 2, max(1, n // 2), n}):
             for N in (1, 10, 999, 4097, 2**16 + 1, 10**5, 10**6 + 7):
-                per_chunk, bounds = radii._chunk_rule(N, n, w, True)
-                sizes = np.diff(bounds)
-                assert bounds[0] == 0 and bounds[-1] == N and np.all(sizes > 0)
-                assert per_chunk == (max(1, radii._BLOCK // (N * w)) if N * w <= radii._BLOCK
-                                     else 1)
-                if len(sizes) > 1:
-                    assert N * w > radii._BLOCK
-                    assert np.all(sizes * n * w > 10**6)
-                    assert np.all(sizes[:-1] == sizes[0]) and sizes[0] % radii._ROW_TILE == 0
-                    assert sizes[0] <= sizes[-1] < 2 * sizes[0]
+                per_chunk, cut = radii._chunk_rule(N, n, w, True)
+                floor = radii._floor_rows(n, w)
+                assert per_chunk == max(1, radii._BLOCK // (N * w))
+                assert cut == (N * w > radii._BLOCK and N >= 2 * floor)
+                assert radii._chunk_rule(N, n, w, False) == (per_chunk, False)
+                if not cut:
+                    continue
+                for row in {0, tile - 1, floor - 1, floor, N // 2, N - floor - 1, N - floor,
+                            N - tile, N - 1}:
+                    r0, r1 = radii._rescore_chunk(row, N, n, w)
+                    assert 0 <= r0 <= row < r1 <= N and r0 % tile == 0
+                    assert (r1 - r0) * n * w >= radii._GEMM_FLOOR > 10**6
 
 
 def test_profile_estimate_lookup(key):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from oracles import _words_to_unit
+from polyradii import streams
 from polyradii.estimates import Estimate, mean_and_stderr, power_estimate
 from polyradii.streams import (
     StreamKey,
-    _words_to_unit,
     generator,
     standard_exponential,
     standard_normal,
@@ -130,6 +131,25 @@ def test_words_to_unit_stays_inside_open_interval():
     assert np.array_equal(u[:-1], unclamped[:-1])
     assert u[-1] == u[-2] == 1.0 - 2.0**-52
     assert np.all(np.isfinite(ndtri(u)))
+
+
+def test_uniform_maps_edge_words_as_the_reference():
+    # a Philox whose buffer holds chosen raw words feeds them to
+    # Generator.random, the package's draw, and _open_unit must then give the
+    # reference's (x + 0.5) / 2^53 of each word x = raw >> 11, with 2^53 - 1
+    # clamped below 1; the low 11 bits are set and must be dropped
+    words = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 3, 2**53 - 2, 2**53 - 1],
+                     dtype=np.uint64)
+    philox = np.random.Philox(key=0)
+    drawn = []
+    for block in words.reshape(-1, 4):
+        state = philox.state
+        state["buffer"], state["buffer_pos"] = tuple(int(x) << 11 | 0x7FF for x in block), 0
+        philox.state = state
+        drawn.append(np.random.Generator(philox).random(4))
+    u = streams._open_unit(np.concatenate(drawn))
+    assert np.array_equal(u, _words_to_unit(words.copy()))
+    assert u[0] == 2.0**-54 and u[-1] == u[-2] == u[-3] == np.max(u) == 1.0 - 2.0**-52
 
 
 def test_uniform_equals_integers_reference():
