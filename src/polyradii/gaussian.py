@@ -23,43 +23,89 @@ from .radii import _BLOCK, _max_sq_norms
 from .streams import StreamKey, standard_normal
 
 _ABS_TOL = 1e-9  # absolute error target of expected_max_chi
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)  # on [-1, 1], per panel
+_PANELS = 4  # panels of expected_max_chi's first sum
+_DOUBLINGS = 10  # at most 4 * 2^10 = 4096 panels
+_TINY = np.finfo(float).tiny  # survival values below it are taken in log space
+_CF_TERMS = 100  # cap on _log_sf's continued fraction terms
 
 
 def expected_max_chi(k: int, N: int) -> float:
-    """E max over N independent chi_k variables, by adaptive quadrature.
+    """E max over N independent chi_k variables, by a composite Gauss-Legendre rule.
 
     1 - F(t)^N falls from 1 to 0 over a window of width O(1) near
     max(sqrt k, sqrt(2 log N)), which one quadrature from 0 misses once k is
     large.  Two chi quantiles bracket it: below the lower one F^N is under
     _ABS_TOL / (4 hi), above the upper one N (1 - F) is under _ABS_TOL / 4.
     The value is the lower quantile plus the integral of 1 - F^N between
-    them, with F^N evaluated as exp(N log1p(-sf)) so huge N stays stable.
-    The error is within _ABS_TOL for k up to 10^7 and N up to 10^303.  Above
-    that k gammaincc's accuracy bounds it (about 1.2e-7 at k = 10^8, 4e-7 at
-    10^9); above that N its survival values are subnormal (at k = 1, -2.0e-9
-    at N = 10^304 and -2.1e-8 at 10^305).
+    them, with F^N evaluated as exp(N log1p(-sf)) so huge N stays stable;
+    where sf is below the least normal float, and so lost to gammaincc's
+    underflow, N log F = -N sf is taken as -exp(log N + _log_sf).
+    The integral is a sum over equal panels of the window, each taking
+    _GL_NODES' 20-point Gauss-Legendre rule; the panel count starts at
+    _PANELS and doubles until two successive sums agree within _ABS_TOL / 4,
+    and a window that needs more than _DOUBLINGS doublings raises ValueError.
+    Against 50-digit mpmath the error is within _ABS_TOL for k up to 5 10^6
+    and every N a float holds: about -3e-11 for N up to 10^9, -7e-12 at
+    N = 10^303 and at the largest float N, and 3.4e-10 at k = 5 10^6, N = 1.
+    Above that k gammaincc's accuracy bounds it (4.1e-9 at k = 10^7 and
+    N = 1, 1.8e-8 at 2 10^7).
     """
-    # imported here, not at module level: it loads ~290 modules only this oracle needs
-    from scipy.integrate import quad
-
     if k < 1 or N < 1:
         raise ValueError("need k >= 1 and N >= 1")
     a = k / 2.0
 
-    def integrand(t: float) -> float:
-        sf = float(gammaincc(a, 0.5 * t * t))
-        if sf >= 1.0:
-            return 1.0
-        return -math.expm1(N * math.log1p(-sf))
-
     def quantile(sf: float) -> float:
         return math.sqrt(2.0 * float(gammainccinv(a, sf)))
 
+    log_n = math.log(N)
     hi = quantile(0.25 * _ABS_TOL / N)
     # 1 - F(lo) = 1 - (tol / 4 hi)^(1/N), exact for huge N
     lo = quantile(-math.expm1(math.log(0.25 * _ABS_TOL / hi) / N))
-    value, _ = quad(integrand, lo, hi, epsabs=0.5 * _ABS_TOL, limit=200)
-    return lo + float(value)
+    panels, previous = _PANELS, math.nan
+    for _ in range(_DOUBLINGS + 1):
+        half = 0.5 * (hi - lo) / panels
+        t = (lo + half * np.arange(1, 2 * panels, 2))[:, None] + half * _GL_NODES
+        x = 0.5 * t * t
+        sf = gammaincc(a, x)
+        # log F(t), with sf >= 1 giving F = 0 and so an integrand of 1
+        log_cdf = np.log1p(-sf, out=np.full_like(sf, -np.inf), where=sf < 1.0)
+        with np.errstate(over="ignore"):  # N log F below -max float: F^N = 0
+            log_cdf_n = N * log_cdf
+        tail = sf < _TINY
+        if tail.any():
+            # gammaincc is subnormal, then 0, here: N log F = -N sf to double precision
+            log_cdf_n[tail] = -np.exp(log_n + _log_sf(a, x[tail]))
+        value = half * float(np.sum(-np.expm1(log_cdf_n) * _GL_WEIGHTS))
+        if abs(value - previous) <= 0.25 * _ABS_TOL:
+            return lo + value
+        panels, previous = 2 * panels, value
+    raise ValueError(f"the chi-max quadrature at k={k}, N={N} did not reach "
+                     f"{_ABS_TOL:g} in {panels // 2} panels")
+
+
+def _log_sf(a: float, x: np.ndarray) -> np.ndarray:
+    """log Q(a, x) where Q = gammaincc(a, x) underflows, for x well above a.
+
+    Q(a, x) = x^a e^-x / Gamma(a) times Legendre's continued fraction
+    1 / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / ...)), summed by
+    the modified Lentz method, so no factor underflows.  The fraction
+    converges in a few terms this far above a.
+    """
+    b = x + 1.0 - a
+    c = np.full_like(x, 1e300)
+    d = 1.0 / b
+    fraction = d.copy()
+    for i in range(1, _CF_TERMS + 1):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        fraction *= delta
+        if np.all(np.abs(delta - 1.0) <= 1e-16):
+            break
+    return a * np.log(x) - x - gammaln(a) + np.log(fraction)
 
 
 def tail_integral(k: int, t: float) -> float:

@@ -135,11 +135,23 @@ class StreamKey:
         return StreamKey(self.root, self.path + (index,), _mix_in(self._pool, index))
 
 
+# Philox(key=...) or Philox() seeds a SeedSequence from OS entropy and discards it;
+# Philox(_SEED) does not, and its key is then replaced through its state
+_SEED = np.random.SeedSequence(0)
+
+
+def _state(key: tuple[int, int]) -> dict:
+    """Philox's state at the start of the stream with this key, the state a
+    fresh generator starts in: a zero counter and an empty buffer."""
+    return {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def generator(key: StreamKey) -> np.random.Generator:
     """Fresh counter-based generator positioned at the start of the stream."""
-    low, high = _philox_key(key._pool)
-    # one 128-bit int: Philox(key=) would read a pair of Python ints through float64
-    return np.random.Generator(np.random.Philox(key=low | high << 64))
+    philox = np.random.Philox(_SEED)
+    philox.state = _state(_philox_key(key._pool))
+    return np.random.Generator(philox)
 
 
 def _open_unit(u: np.ndarray) -> np.ndarray:
@@ -171,18 +183,16 @@ def uniform(key: StreamKey, count: int) -> np.ndarray:
 def uniform_stack(keys: Sequence[StreamKey], count: int) -> np.ndarray:
     """(len(keys), count) uniforms whose row i has the bits of uniform(keys[i], count).
 
-    One local Philox is reset to each key in turn (its key, a zero counter and
-    an empty buffer, the state a fresh generator starts in) and its
+    One local Philox is reset to each key's start (see _state) in turn and its
     Generator fills that key's row of one float64 array; _open_unit then
     runs once over the whole stack.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     u = np.empty((len(keys), count))
-    philox = np.random.Philox(key=0)
+    philox = np.random.Philox(_SEED)
     gen = np.random.Generator(philox)
-    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = _state((0, 0))
     for row, key in zip(u, keys):
         state["state"]["key"] = _philox_key(key._pool)
         philox.state = state

@@ -69,11 +69,49 @@ def test_expected_max_chi_grows_with_N_at_large_k():
 
 
 def test_expected_max_chi_at_the_largest_documented_N():
-    # the 1e-9 bound holds up to N = 10^303; above it gammaincc's survival
-    # values are subnormal.  Reference: mpmath at 50 digits, mp.quad of
+    # at N = 10^303 gammaincc's survival values turn subnormal inside the
+    # window.  Reference: mpmath at 50 digits, mp.quad of
     # -expm1(N log1p(-erfc(t / sqrt 2))) over [0, c-4, c-1, c, c+1, c+4, inf]
     # with c = sqrt(2 log N), the integrand 1 - F(t)^N of chi_1
     assert expected_max_chi(1, 10**303) == pytest.approx(37.267017314525393395, abs=1e-9)
+
+
+def test_expected_max_chi_at_the_largest_float_N():
+    # past N ~ 10^305 gammaincc underflows to 0 where N (1 - F) is still of
+    # order 1e-2, so the tail's survival values come from the log-space
+    # continued fraction.  Reference: mpmath at 50 digits, mp.quad of
+    # -expm1(N log1p(-Q)), Q = mp.gammainc(k/2, t^2/2, inf, regularized=True),
+    # split at c + (-6, -2, -1, -1/2, -1/4, 0, 1/4, 1/2, 1, 2, 6), c the value
+    top = int(sys.float_info.max)
+    for k, reference in ((1, 37.590054828129670554), (4, 37.866495301354296257),
+                         (1000, 61.040898220978711948)):
+        assert abs(expected_max_chi(k, top) - reference) <= gaussian._ABS_TOL, k
+
+
+# E max over N chi_k variables by mpmath 1.3.0 at 50 digits: mp.quad of
+# -expm1(N log1p(-Q)), Q = mp.gammainc(k/2, t^2/2, inf, regularized=True), over
+# [0, c-40, c-20, c-12, c-8, c-6, c-4, ..., c+4, c+6, c+8, c+12, c+20, c+40, inf]
+# (the points below 0 left out), c the chi_k quantile at survival min(1/2, 1/N);
+# real part, since mp.gammainc leaves an imaginary part below 1e-100 at k = 10^6.
+# At N = 1 they match sqrt(2) Gamma((k+1)/2) / Gamma(k/2) to 22 digits
+_CHI_MAX_REFERENCE = {
+    1: (0.7978845608028653558799, 2.746957687806120577777, 6.197846093369071973887,
+        37.26701731452539339464),
+    8: (2.741624675377656799517, 4.632745954522827154498, 7.716740395107633341777,
+        37.84690751833706949981),
+    32: (5.612839389220732778617, 7.454592729996031148866, 10.3305180753088081783,
+         39.2448130892477014212),
+    10**3: (31.6148718969800800885, 33.40200356026137324298, 36.0101365269079213835,
+            60.76918948614698693126),
+    10**6: (999.9997500000312500391, 1001.773342064565891167, 1004.30739676774472676,
+            1026.452891504123103067),
+}
+
+
+def test_expected_max_chi_against_mpmath_references():
+    for k, references in _CHI_MAX_REFERENCE.items():
+        for N, reference in zip((1, 100, 10**9, 10**303), references):
+            assert abs(expected_max_chi(k, N) - reference) <= gaussian._ABS_TOL, (k, N)
 
 
 def test_expected_max_chi_brute_force_mc(key):

@@ -11,9 +11,10 @@ every laned projection goes through one function, and no lane calls a
 function that runs lanes.  Only ``_project_stack`` calls ``_chunk_rule``, so
 no caller of it sizes anything by the row chunks.  Every product and QR runs
 inside one_blas_thread, held by its own function or by the lane runner.  No
-function declares a global: module state is made at import.  Only the chi
-quadrature behind ``gaussian`` loads scipy.integrate: it pulls in some 290
-modules that every other command would pay for in start-up time and memory.
+function declares a global: module state is made at import.  No command
+loads scipy.integrate, the chi-max oracle behind ``gaussian`` included: it
+pulls in some 290 modules that every command would pay for in start-up time
+and memory.
 """
 
 import ast
@@ -274,7 +275,7 @@ def _probe(tmp_path: Path, commands: list[list[str]]) -> list:
     return json.loads(proc.stdout)
 
 
-def test_only_gaussian_loads_scipy_integrate(tmp_path):
+def test_no_command_loads_scipy_integrate(tmp_path):
     sweep = {"body": "cube", "n": 4, "N_list": [8], "k_list": [1, 4], "M": 4, "R": 1}
     check = {"body": "cube", "n": 8, "N_list": [8], "k_list": [1, 8], "M": 4, "R": 1, "m": 2000}
     (tmp_path / "sweep.json").write_text(json.dumps(sweep))
@@ -286,5 +287,8 @@ def test_only_gaussian_loads_scipy_integrate(tmp_path):
         ["plot", "sweep.csv", "--x", "k", "--y", "ratio", "--out", "sweep.svg"],
     ]
     assert _probe(tmp_path, commands) == [False, False, [0, 0, 0, 0]]
-    oracle = [["gaussian", "--k", "1", "--N", "10", "--M", "0"]]
-    assert _probe(tmp_path, oracle) == [False, True, [0]]
+    # the chi-max oracle integrates with its own Gauss-Legendre rule, with and
+    # without the Monte Carlo replicas
+    oracle = [["gaussian", "--k", "1", "--N", "10", "--M", "0"],
+              ["gaussian", "--k", "1", "--N", "10", "--M", "4"]]
+    assert _probe(tmp_path, oracle) == [False, False, [0, 0]]

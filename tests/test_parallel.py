@@ -82,13 +82,18 @@ def test_flag_radii_in_lanes_equal_the_per_flag_loop(key, monkeypatch):
     # exceeds _BLOCK and is a chunk of its own, cut into rows (it holds two
     # rescore chunks of 4128 rows) and so screened, so 12 flags make 12 chunks.  The lanes
     # draw and project whole chunks, min(lanes, chunks) of them at once.  ks [3, 16]
-    # sums a 13-column segment with reduceat, [1, 4, 8, 16] by column adds
+    # sums a 13-column segment with reduceat, [1, 4, 8, 16] by column adds.  Each
+    # thread's first sum waits until min(lanes, chunks) threads have made one, so
+    # lane 0 cannot take every chunk before the helpers start, and a missing
+    # lane breaks the barrier at its timeout
     real = radii._sum_segments
     threads = set()
+    barrier = None
 
     def sum_segments(sq, ks, out):
-        threads.add(threading.get_ident())
-        time.sleep(0.005)
+        if barrier is not None and threading.get_ident() not in threads:
+            threads.add(threading.get_ident())
+            barrier.wait(timeout=10)
         real(sq, ks, out)
 
     monkeypatch.setattr(radii, "_sum_segments", sum_segments)
@@ -98,13 +103,15 @@ def test_flag_radii_in_lanes_equal_the_per_flag_loop(key, monkeypatch):
             pts = sample_points(make_body("simplex", 16), N, key.child(N))
             frames = haar_frames(16, 16, [key.child(7).child(i) for i in range(12)])
             for ks in (np.array([3, 16]), np.array([1, 4, 8, 16])):
+                barrier = None
                 expected = np.stack([np.sqrt(np.max(projected_sq_norms(pts, frame, ks), axis=0))
                                      for frame in frames])
                 for lanes in (1, 2, 3):
                     monkeypatch.setattr(parallel, "_usable_cpus", lambda: lanes)
                     threads.clear()
-                    assert np.array_equal(radii._flag_radii(pts, 12, key.child(7), ks), expected)
                     chunks = 12 if N == 10_000 else 3
+                    barrier = threading.Barrier(min(lanes, chunks))
+                    assert np.array_equal(radii._flag_radii(pts, 12, key.child(7), ks), expected)
                     assert len(threads) == min(lanes, chunks)
 
 
