@@ -57,7 +57,8 @@ def one_blas_thread() -> Iterator[None]:
     also after an error.  OpenBLAS's bits can depend on its thread count (a
     260 x 260 QR differs at 1 and 2 threads), so an operation whose bits must
     not runs here.  No other thread may use BLAS meanwhile at more threads,
-    which lanes never do.  The count is the process's: two threads that call
+    which lanes never do; a scope entered inside a lane finds one thread and
+    changes nothing.  The count is the process's: two threads that call
     polyradii at once are not supported, since one can reset it mid-call."""
     threads = _blas[0]() if _blas else 1
     if threads > 1:

@@ -6,13 +6,14 @@ hull is ever built; everything reduces to inner products with frames.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimates import Estimate
 from .grassmann import haar_frames
-from .parallel import lane_count, run_lanes
+from .parallel import lane_count, one_blas_thread, run_lanes
 from .streams import StreamKey
 
 _BLOCK = 1 << 16  # bound on a chunk's product and on a block of frames, in float64s
@@ -137,11 +138,9 @@ def _project_stack(
     may overwrite the product and writes (or accumulates) only lo..hi's slots.
 
     Rows are cut only for the max kernel, which passes its ``ks`` and the
-    points' checked squared ``norms`` (for _Screen to overwrite).  The lane
-    that takes a slice cut into rows screens it in float32 (_Screen), and
-    its row chunks are the _rescore_chunk of each row that can hold the
-    slice's max over the points for some k; a row may come twice, which a
-    running max allows.  Otherwise the one row chunk is 0..N.
+    points' checked squared ``norms`` (for _Screen to overwrite): a slice cut
+    into rows has the row chunks that _Screen.chunks yields for it in the
+    lane that takes it, and any other the one row chunk 0..N.
     """
     N, n = points.shape
     per_chunk, cut = _chunk_rule(N, n, w, ks is not None)
@@ -159,17 +158,7 @@ def _project_stack(
             lo = chunk * per_chunk
             hi = min(lo + per_chunk, count)
             stack = frames(lo, hi)
-            cuts = [(0, N)]
-            if cut:
-                scan = _Scan(screen, stack[0].T @ stack[0])
-                narrow = stack[0, :, : screen.width].astype(np.float32)
-                for r0, r1 in screen.blocks:
-                    sq = np.matmul(screen.points[r0:r1], narrow,
-                                   out=screen.product[lane, : r1 - r0])
-                    np.square(sq, out=sq)
-                    scan.take(r0, np.matmul(sq, screen.prefix, out=screen.sums[lane, : r1 - r0]))
-                cuts = scan.chunks()
-            for r0, r1 in cuts:
+            for r0, r1 in screen.chunks(lane, stack[0]) if cut else [(0, N)]:
                 product = scratch[lane, : (hi - lo) * (r1 - r0) * w].reshape(hi - lo, r1 - r0, w)
                 reduce(np.matmul(points[r0:r1], stack, out=product), lo, hi)
 
@@ -197,15 +186,18 @@ class _Screen:
     It holds a float32 copy of the cloud scaled by 2^-e, e = the exponent of
     max_j |x_j| plus one, so every coordinate is below 1/2 (the scaling is
     exact, and float32 neither overflows nor loses the max), and the float64
-    squared norms |x_j|^2 times 2^-2e.  For a flag F the lane projects the
-    copy onto F's float32 cast in blocks of at most _SCREEN_FLOATS entries,
-    squares the block and takes its prefix sums with a 0/1 matrix: s_jk for
-    each k of ``screened``, ks without a top k = n.  When ks[-1] = n the frame
-    is square, and the scaled norm stands for s_jn.  _Scan keeps the rows j
-    with s_jk + E_k >= T_k for some k, T_k = max_j (s_jk - E_k), where E_k
-    bounds |s_jk - v_jk| for every j, v_jk being the float64 kernel's value
-    (scaled): T_k is at most max_j v_jk, so a row where v_jk is the max
-    passes T_k as it grows, and _rescore_chunk gives the max's bits.
+    squared norms |x_j|^2 times 2^-2e.  chunks is one flag F's pass, in the
+    lane's own scratch: it projects the copy onto F's float32 cast in blocks
+    of at most _SCREEN_FLOATS entries, squares the block and takes its prefix
+    sums with a 0/1 matrix: s_jk for each k of ``screened``, ks without a top
+    k = n.  When ks[-1] = n the frame is square, and the scaled norm stands
+    for s_jn.  It keeps the rows j with s_jk + E_k >= T_k for some k, T_k =
+    max_j (s_jk - E_k) over the blocks so far, where E_k bounds |s_jk - v_jk|
+    for every j, v_jk being the float64 kernel's value (scaled): T_k is at
+    most max_j v_jk, so a row where v_jk is the max passes T_k as it grows.
+    The kept rows that pass the final T_k are rescored in their
+    _rescore_chunk, which gives the max's bits; chunks may overlap, which a
+    running max allows.
 
     The bound.  Scaled by 2^-e, let a = x_j, m = the largest norm (at least
     max_j |a|^2 up to its rounding), q_k = sum_{c<k} (a . f_c)^2 exactly,
@@ -251,11 +243,9 @@ class _Screen:
         self.screened = ks[:-1] if ks[-1] == self.n else ks
         self.width = int(self.screened[-1]) if self.screened.size else 0
         self.prefix = (np.arange(self.width)[:, None] < self.screened).astype(np.float32)
-        rows = min(_SCREEN_FLOATS // max(1, self.width), self.N)
-        self.blocks = [(r0, min(r0 + rows, self.N)) for r0 in range(0, self.N, rows)
-                       ] if self.width else []
-        self.product = np.empty((lanes, rows, self.width), np.float32)  # each lane's scratch
-        self.sums = np.empty((lanes, rows, self.screened.size), np.float32)
+        self.rows = min(_SCREEN_FLOATS // max(1, self.width), self.N)  # per block
+        self.product = np.empty((lanes, self.rows, self.width), np.float32)  # each lane's scratch
+        self.sums = np.empty((lanes, self.rows, self.screened.size), np.float32)
 
     def bound(self, gram: np.ndarray) -> tuple[np.ndarray, float | None]:
         """(E_k for each screened k, E_n of the top column or None) for the
@@ -276,39 +266,36 @@ class _Screen:
             top = float(slack(_gamma(n, v) + eps + kernel[-1]))
         return slack(screen + kernel[: self.screened.size]), top
 
+    def chunks(self, lane: int, frame: np.ndarray):
+        """Screen the flag whose (n, w) frame is ``frame`` in the lane's scratch
+        and yield, in row order, the rescore chunks of the rows that can hold
+        its max for some k: the rows that pass the final T_k."""
+        with one_blas_thread():  # inside a lane it finds one thread and sets nothing
+            slack, top = self.bound(frame.T @ frame)
+            narrow = frame[:, : self.width].astype(np.float32)
+            peak, kept = np.full(slack.size, -np.inf), []
 
-class _Scan:
-    """One flag's pass over a _Screen: the running T_k of its screened ks and
-    the rows kept so far, with their screened sums."""
+            def least():  # T_k - E_k in float32, rounded down, one row per k
+                return np.nextafter((peak - slack).astype(np.float32), np.float32(-np.inf))[:, None]
 
-    def __init__(self, screen: _Screen, gram: np.ndarray):
-        self.screen = screen
-        self.slack, top_slack = screen.bound(gram)
-        self.peak = np.full(self.slack.size, -np.inf)
-        self.kept = []
+            for r0 in range(0, self.N, self.rows):
+                r1 = min(r0 + self.rows, self.N)
+                sq = np.matmul(self.points[r0:r1], narrow, out=self.product[lane, : r1 - r0])
+                np.square(sq, out=sq)
+                sums = np.matmul(sq, self.prefix, out=self.sums[lane, : r1 - r0])
+                sums = np.ascontiguousarray(sums.T)  # k-major: each k's max and test read contiguous rows
+                np.maximum(peak, np.max(sums, axis=1) - slack, out=peak)
+                rows = np.flatnonzero(np.any(sums >= least(), axis=0))
+                kept.append((r0 + rows, sums[:, rows]))
+        final = least()
         # every scaled norm is known at once: T_n = m - E_n
-        self.top_rows = (np.flatnonzero(screen.norms >= screen.largest - top_slack - top_slack)
-                         if top_slack is not None else np.empty(0, dtype=np.intp))
-
-    def _least(self) -> np.ndarray:
-        """T_k - E_k in float32, rounded down."""
-        return np.nextafter((self.peak - self.slack).astype(np.float32), np.float32(-np.inf))
-
-    def take(self, r0: int, sums: np.ndarray) -> None:
-        """Raise T_k by the screened sums of rows r0.. and keep the rows that pass."""
-        sums = np.ascontiguousarray(sums.T)  # k-major: each k's max and test read contiguous rows
-        np.maximum(self.peak, np.max(sums, axis=1) - self.slack, out=self.peak)
-        rows = np.flatnonzero(np.any(sums >= self._least()[:, None], axis=0))
-        self.kept.append((r0 + rows, sums[:, rows]))
-
-    def chunks(self):
-        """The rescore chunks, in row order, of the kept rows that pass the final T_k."""
-        least, screen = self._least()[:, None], self.screen
-        rows = [self.top_rows, *(rows[np.any(sums >= least, axis=0)] for rows, sums in self.kept)]
+        passed = [np.flatnonzero(self.norms >= self.largest - top - top) if top is not None
+                  else np.empty(0, dtype=np.intp)]
+        passed += [rows[np.any(sums >= final, axis=0)] for rows, sums in kept]
         end = 0
-        for row in np.unique(np.concatenate(rows) // _ROW_TILE) * _ROW_TILE:
+        for row in np.unique(np.concatenate(passed) // _ROW_TILE) * _ROW_TILE:
             if row >= end:
-                r0, end = _rescore_chunk(int(row), screen.N, screen.n, int(screen.ks[-1]))
+                r0, end = _rescore_chunk(int(row), self.N, self.n, int(self.ks[-1]))
                 yield r0, end
 
 
@@ -354,13 +341,20 @@ def radius_profile(
     _flag_radii computes it in lanes that each draw the flags they project.
     The per-point radii never decrease with k, and
     neither does their max or the flag average.  ``ks`` restricts the grid
-    (default: every k = 1..n).  A cloud outside _flag_radii's input contract
-    raises ValueError before any flag is drawn.
+    (default: every k = 1..n); a k that is no integer, outside 1..n or out of
+    increasing order, or a cloud outside _flag_radii's input contract, raises
+    ValueError before any flag is drawn.
     """
     N, n = cloud.points.shape
     if ks is None:
         ks = np.arange(1, n + 1)
-    # checked as given, before a k too large for a C long reaches np.asarray
+    # checked as given, before np.asarray truncates a fraction or meets a k
+    # too large for a C long
+    for k in ks:
+        try:
+            operator.index(k)
+        except TypeError:
+            raise ValueError(f"k={k!r} is not an integer") from None
     outside = [k for k in ks if not 1 <= k <= n]
     if outside:
         raise ValueError(f"k={outside[0]} outside 1..{n}")

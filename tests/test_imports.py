@@ -9,8 +9,12 @@ starts threads or counts CPUs, so the lane policy stays in one module.  Only
 through its key derivation.  Only ``radii`` and ``gaussian`` run lanes, so
 every laned projection goes through one function, and no lane calls a
 function that runs lanes.  Only ``_project_stack`` calls ``_chunk_rule``, so
-no caller of it sizes anything by the row chunks.  Every product and QR runs
-inside one_blas_thread, held by its own function or by the lane runner.  No
+no caller of it sizes anything by the row chunks.  Only ``radii._Screen``
+works in float32, and ``_project_stack`` asks its screen for nothing but a
+flag's row chunks, so the max kernel's screen is one owner's code.  Every
+product and QR runs inside one_blas_thread, held by its own function (a scope
+entered inside a lane finds one thread and sets nothing) or by the lane
+runner.  No
 function declares a global: module state is made at import.  No command
 loads scipy.integrate, the chi-max oracle behind ``gaussian`` included: it
 pulls in some 290 modules that every command would pay for in start-up time
@@ -129,7 +133,7 @@ def test_only_radii_and_gaussian_run_lanes():
                 imported.setdefault(path.name, set()).update(alias.name for alias in node.names)
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_lanes":
                 calls.append(path.name)
-    assert imported == {"radii.py": {"lane_count", "run_lanes"},
+    assert imported == {"radii.py": {"lane_count", "one_blas_thread", "run_lanes"},
                         "gaussian.py": {"lane_count", "run_lanes"},
                         "grassmann.py": {"one_blas_thread"},
                         "bodies.py": {"one_blas_thread"},
@@ -234,6 +238,30 @@ def test_only_the_stack_projection_cuts_chunks():
                      and any(isinstance(call, ast.Call) and _called_name(call) == "_chunk_rule"
                              for call in ast.walk(node)))
     assert callers == ["radii.py:_project_stack"]
+
+
+def test_only_the_screen_works_in_float32():
+    # the max kernel's float32 screen is one class: no other code casts to or
+    # allocates float32, and the stack projection reads nothing of its screen
+    # but the generator of a flag's row chunks
+    single = {"float32", "single", "f4", "<f4"}
+    found, outside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        screen = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "_Screen"
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in single
+                    or isinstance(node, ast.Constant) and node.value in single):
+                (found if id(node) in screen else outside).append(f"{path.name}:{node.lineno}")
+    assert found and outside == []
+    tree = ast.parse((SRC / "radii.py").read_text(encoding="utf-8"))
+    stack = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_project_stack")
+    read = {node.attr for node in ast.walk(stack)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "screen"}
+    assert read == {"chunks"}
 
 
 def test_only_streams_makes_generators():

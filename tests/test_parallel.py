@@ -362,7 +362,7 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
         pytest.skip("numpy's BLAS exposes no thread count")
     get, set_threads = blas
     seen, chunks = [], []
-    real_qr, real_sums, real_take = np.linalg.qr, radii._sum_segments, radii._Scan.take
+    real_qr, real_sums, real_bound = np.linalg.qr, radii._sum_segments, radii._Screen.bound
     real_chunk = radii._rescore_chunk
 
     def qr(a):
@@ -373,9 +373,9 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
         seen.append(get())
         real_sums(sq, ks, out)
 
-    def take(scan, r0, sums):
+    def bound(screen, gram):  # once per flag, in the lane that screens it
         seen.append(get())
-        real_take(scan, r0, sums)
+        return real_bound(screen, gram)
 
     def rescore_chunk(*args):
         chunks.append(args)
@@ -391,7 +391,7 @@ def test_lanes_hold_numpy_blas_at_one_thread(key, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", qr)
     monkeypatch.setattr(radii, "_sum_segments", sum_segments)
-    monkeypatch.setattr(radii._Scan, "take", take)
+    monkeypatch.setattr(radii._Screen, "bound", bound)
     monkeypatch.setattr(radii, "_rescore_chunk", rescore_chunk)
     # flags of 10^4 x 100 floats each, one flag and one QR per chunk
     cloud = PointCloud(sample_points(make_body("cube", 100), 10_000, key.child(0)))

@@ -187,7 +187,11 @@ def test_profile_k_errors_name_the_problem(key):
     cloud = _cloud(standard_normal(key.child(36), 40).reshape(10, 4))
     for ks, message in (([5], "k=5 outside 1..4"), ([0, 2], "k=0 outside 1..4"),
                         ([3, 3], "strictly increasing within 1..4"),
-                        ([3, 2], "strictly increasing within 1..4")):
+                        ([3, 2], "strictly increasing within 1..4"),
+                        # a fraction is not truncated, and a string is no k
+                        ([2.5], "k=2.5 is not an integer"),
+                        ([1, 2.7, 4], "k=2.7 is not an integer"),
+                        (["2"], "k='2' is not an integer")):
         with pytest.raises(ValueError, match=message):
             radius_profile(cloud, 8, key.child(37), ks)
 
